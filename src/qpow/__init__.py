@@ -10,8 +10,8 @@ from .analysis import (AdvantageModel, BenchRecord, CrossoverScan, advantage,
                        find_crossover, fit_log10_slope, quantum_time, speed_ratio,
                        two_qubit_gate_count)
 from .chain import (Block, ChainFormatError, ChainVerification, ExactBackend,
-                    MiningExhausted, NoisyBackend, Verdict, check_difficulty,
-                    load_chain, make_genesis, mine_block, pack_bits, qpow_hash,
+                    MiningExhausted, NoisyBackend, Proof, Verdict, check_difficulty,
+                    load_chain, make_genesis, mine_block, pack_bits, prove, qpow_hash,
                     save_chain, serialize_text, verify_block, verify_chain)
 from .circuit import Circuit, Gate, build_ansatz, count_two_qubit_gates, format_circuit
 from .hashing import encode_angles, hex_digest, nibbles, sha3_256

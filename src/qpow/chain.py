@@ -10,6 +10,7 @@ which costs a single circuit simulation.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import time
@@ -90,30 +91,26 @@ class Block:
 
 @dataclass(frozen=True)
 class Verdict:
+    """The judgement of one block: ``reason`` is "ok" or a failure code."""
+
+    index: int
     ok: bool
     reason: str
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-@dataclass(frozen=True)
-class BlockCheck:
-    index: int
-    ok: bool
-    reason: str
 
 
 @dataclass(frozen=True)
 class ChainVerification:
     ok: bool
-    checks: tuple[BlockCheck, ...]
+    checks: tuple[Verdict, ...]
 
     def __bool__(self) -> bool:
         return self.ok
 
     @property
-    def first_failure(self) -> BlockCheck | None:
+    def first_failure(self) -> Verdict | None:
         return next((c for c in self.checks if not c.ok), None)
 
     @property
@@ -141,13 +138,30 @@ def pack_bits(bits: str) -> bytes:
     return (int(bits, 2) << (8 * n_bytes - len(bits))).to_bytes(n_bytes, "big")
 
 
-def qpow_hash(text: bytes, n_qubits: int, backend: Backend | None = None) -> bytes:
+@dataclass(frozen=True, eq=False)
+class Proof:
+    """Every stage of one run of the proof pipeline; ``h2`` is the proof hash."""
+
+    h1: bytes
+    circuit: Circuit
+    state: np.ndarray
+    bits: str
+    h2: bytes
+
+
+def prove(text: bytes, n_qubits: int, backend: Backend | None = None) -> Proof:
     """The full proof pipeline: sha3 -> angles -> ansatz -> outcome -> sha3."""
     backend = EXACT if backend is None else backend
     h1 = sha3_256(text)
     circuit = build_ansatz(encode_angles(h1), n_qubits)
-    bits = backend.outcome(simulate(circuit), circuit)
-    return sha3_256(h1 + pack_bits(bits))
+    state = simulate(circuit)
+    bits = backend.outcome(state, circuit)
+    return Proof(h1, circuit, state, bits, sha3_256(h1 + pack_bits(bits)))
+
+
+def qpow_hash(text: bytes, n_qubits: int, backend: Backend | None = None) -> bytes:
+    """The proof hash h2 of ``text``."""
+    return prove(text, n_qubits, backend).h2
 
 
 def check_difficulty(digest: bytes, difficulty: int) -> bool:
@@ -170,10 +184,10 @@ def _nonce_chunk(seed: int, chunk_index: int, size: int) -> np.ndarray:
 
 
 def _scan_chunk(args: tuple) -> tuple[int, int, bytes] | None:
-    # Worker for the parallel search; exact backend only, so it is pure.
-    payload, prev_hash, n_qubits, difficulty, seed, chunk_index, size = args
+    # One chunk of the nonce stream: (offset, nonce, digest) of its first hit.
+    payload, prev_hash, n_qubits, difficulty, backend, seed, chunk_index, size = args
     for offset, nonce in enumerate(_nonce_chunk(seed, chunk_index, size)):
-        digest = qpow_hash(serialize_text(int(nonce), payload, prev_hash), n_qubits)
+        digest = qpow_hash(serialize_text(int(nonce), payload, prev_hash), n_qubits, backend)
         if check_difficulty(digest, difficulty):
             return offset, int(nonce), digest
     return None
@@ -185,74 +199,61 @@ def mine_block(prev: Block, payload: str, difficulty: int, n_qubits: int,
     """Draw random nonces until the proof passes the difficulty test.
 
     Returns the mined block and the number of attempts spent; raises
-    MiningExhausted past ``max_attempts``. With ``jobs`` > 1 chunks of the
-    nonce stream fan out to worker processes (exact backend only); the mined
-    block is identical for any job count because the earliest successful
-    attempt wins regardless of completion order.
+    MiningExhausted past ``max_attempts``. Chunks of the nonce stream are
+    scanned in order, in waves of ``2 * jobs``; with ``jobs`` > 1 each wave
+    fans out to worker processes (exact backend only). The mined block is
+    identical for any job count because the earliest successful attempt wins
+    regardless of completion order.
     """
     if max_attempts < 1:
         raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    exact = backend is None or isinstance(backend, ExactBackend)
-    if jobs > 1 and not exact:
+    backend = EXACT if backend is None else backend
+    if jobs > 1 and not isinstance(backend, ExactBackend):
         raise ValueError("parallel nonce search supports the exact backend only")
 
     n_chunks = (max_attempts + NONCE_CHUNK - 1) // NONCE_CHUNK
+    wave = 2 * jobs
+    # Builtin map is lazy, so a sequential search stops at the first hit and a
+    # stateful backend sees exactly the attempts up to it.
+    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
+    with pool or contextlib.nullcontext():
+        scan = map if pool is None else pool.map
+        for start in range(0, n_chunks, wave):
+            batch = range(start, min(start + wave, n_chunks))
+            args = ((payload, prev.pow_hash, n_qubits, difficulty, backend, seed, ci,
+                     min(NONCE_CHUNK, max_attempts - ci * NONCE_CHUNK)) for ci in batch)
+            for ci, found in zip(batch, scan(_scan_chunk, args)):
+                if found is not None:
+                    offset, nonce, digest = found
+                    block = Block(prev.index + 1, int(time.time()), prev.pow_hash,
+                                  payload, nonce, n_qubits, digest)
+                    return block, ci * NONCE_CHUNK + offset + 1
+    raise MiningExhausted(max_attempts)
 
-    def chunk_size(ci: int) -> int:
-        return min(NONCE_CHUNK, max_attempts - ci * NONCE_CHUNK)
 
-    found: tuple[int, int, bytes] | None = None
-    if jobs == 1:
-        be = EXACT if backend is None else backend
-        for ci in range(n_chunks):
-            for offset, nonce in enumerate(_nonce_chunk(seed, ci, chunk_size(ci))):
-                text = serialize_text(int(nonce), payload, prev.pow_hash)
-                digest = qpow_hash(text, n_qubits, be)
-                if check_difficulty(digest, difficulty):
-                    found = (ci * NONCE_CHUNK + offset, int(nonce), digest)
-                    break
-            if found:
-                break
-    else:
-        wave = 2 * jobs
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for start in range(0, n_chunks, wave):
-                batch = range(start, min(start + wave, n_chunks))
-                args = [(payload, prev.pow_hash, n_qubits, difficulty, seed, ci, chunk_size(ci))
-                        for ci in batch]
-                for ci, result in zip(batch, pool.map(_scan_chunk, args)):
-                    if result is not None:
-                        offset, nonce, digest = result
-                        found = (ci * NONCE_CHUNK + offset, nonce, digest)
-                        break
-                if found:
-                    break
-
-    if found is None:
-        raise MiningExhausted(max_attempts)
-    attempt_index, nonce, digest = found
-    block = Block(prev.index + 1, int(time.time()), prev.pow_hash,
-                  payload, nonce, n_qubits, digest)
-    return block, attempt_index + 1
+def _check_proof(block: Block) -> Verdict:
+    # Re-derive the recorded proof with the exact backend: one simulation.
+    if not 0 <= block.nonce < 1 << NONCE_BITS:
+        return Verdict(block.index, False, "nonce-range")
+    text = serialize_text(block.nonce, block.payload, block.prev_hash)
+    ok = qpow_hash(text, block.n_qubits) == block.pow_hash
+    return Verdict(block.index, ok, "ok" if ok else "pow-hash")
 
 
 def verify_block(block: Block, prev: Block, difficulty: int) -> Verdict:
     """Re-derive the proof with the exact backend; at most one simulation.
 
-    The boolean verdict carries a reason code: prev-hash, pow-hash,
-    difficulty, or ok.
+    The boolean verdict carries a reason code: prev-hash, nonce-range,
+    pow-hash, difficulty, or ok.
     """
     if block.prev_hash != prev.pow_hash:
-        return Verdict(False, "prev-hash")
-    recomputed = qpow_hash(serialize_text(block.nonce, block.payload, block.prev_hash),
-                           block.n_qubits)
-    if recomputed != block.pow_hash:
-        return Verdict(False, "pow-hash")
-    if not check_difficulty(block.pow_hash, difficulty):
-        return Verdict(False, "difficulty")
-    return Verdict(True, "ok")
+        return Verdict(block.index, False, "prev-hash")
+    verdict = _check_proof(block)
+    if verdict.ok and not check_difficulty(block.pow_hash, difficulty):
+        return Verdict(block.index, False, "difficulty")
+    return verdict
 
 
 def verify_chain(chain: list[Block], difficulty: int) -> ChainVerification:
@@ -264,26 +265,23 @@ def verify_chain(chain: list[Block], difficulty: int) -> ChainVerification:
     """
     if not chain:
         raise ValueError("chain must be non-empty")
-    checks: list[BlockCheck] = []
     genesis = chain[0]
     if genesis.index != 0 or genesis.prev_hash != ZERO_HASH:
-        checks.append(BlockCheck(genesis.index, False, "genesis-structure"))
+        checks = [Verdict(genesis.index, False, "genesis-structure")]
     else:
-        text = serialize_text(genesis.nonce, genesis.payload, genesis.prev_hash)
-        ok = qpow_hash(text, genesis.n_qubits) == genesis.pow_hash
-        checks.append(BlockCheck(0, ok, "ok" if ok else "pow-hash"))
+        checks = [_check_proof(genesis)]
     for prev, block in zip(chain, chain[1:]):
         if block.index != prev.index + 1:
-            checks.append(BlockCheck(block.index, False, "index"))
-            continue
-        verdict = verify_block(block, prev, difficulty)
-        checks.append(BlockCheck(block.index, verdict.ok, verdict.reason))
+            checks.append(Verdict(block.index, False, "index"))
+        else:
+            checks.append(verify_block(block, prev, difficulty))
     return ChainVerification(all(c.ok for c in checks), tuple(checks))
 
 
 # Chain file interchange: a JSON array of block objects with exactly these
 # fields; hashes render as 64-char lowercase hex.
 _BLOCK_FIELDS = ("index", "timestamp", "prev_hash", "payload", "nonce", "n_qubits", "pow_hash")
+_STRING_FIELDS = ("prev_hash", "payload", "pow_hash")
 
 
 def block_to_dict(block: Block) -> dict:
@@ -301,17 +299,21 @@ def block_to_dict(block: Block) -> dict:
 def block_from_dict(data: dict) -> Block:
     if not isinstance(data, dict) or set(data) != set(_BLOCK_FIELDS):
         raise ChainFormatError(f"block object must have exactly the fields {_BLOCK_FIELDS}")
+    for name in _BLOCK_FIELDS:
+        # Exact types: a JSON true or 1.5 is not an integer, a list not a string.
+        if type(data[name]) is not (str if name in _STRING_FIELDS else int):
+            raise ChainFormatError(f"block field {name!r} has the wrong type: {data[name]!r}")
     try:
         block = Block(
-            index=int(data["index"]),
-            timestamp=int(data["timestamp"]),
+            index=data["index"],
+            timestamp=data["timestamp"],
             prev_hash=bytes.fromhex(data["prev_hash"]),
-            payload=str(data["payload"]),
-            nonce=int(data["nonce"]),
-            n_qubits=int(data["n_qubits"]),
+            payload=data["payload"],
+            nonce=data["nonce"],
+            n_qubits=data["n_qubits"],
             pow_hash=bytes.fromhex(data["pow_hash"]),
         )
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ChainFormatError(f"bad block field: {exc}") from exc
     if len(block.prev_hash) != DIGEST_SIZE or len(block.pow_hash) != DIGEST_SIZE:
         raise ChainFormatError("hash fields must be 64 hex characters")
@@ -319,9 +321,19 @@ def block_from_dict(data: dict) -> Block:
 
 
 def save_chain(chain: list[Block], path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump([block_to_dict(b) for b in chain], fh, indent=2)
-        fh.write("\n")
+    """Save atomically: a synced temporary file beside ``path`` is renamed over it."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            json.dump([block_to_dict(b) for b in chain], fh, indent=2)
+            fh.write("\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def load_chain(path: str | os.PathLike) -> list[Block]:

@@ -69,16 +69,15 @@ def _gate_template(n_qubits: int) -> Iterator[tuple[str, int, int | None]]:
                     yield CRX, target, control
 
 
-def build_ansatz(angles: Sequence[float] | np.ndarray, n_qubits: int,
-                 max_qubits: int = MAX_QUBITS) -> Circuit:
+def build_ansatz(angles: Sequence[float] | np.ndarray, n_qubits: int) -> Circuit:
     """Build the fixed-structure ansatz consuming the 64 angles in order.
 
     Angle i always lands on gate i of the emission order, so the circuit is a
     pure function of the digest that produced the angles.
     """
-    if not MIN_QUBITS <= n_qubits <= max_qubits:
+    if not MIN_QUBITS <= n_qubits <= MAX_QUBITS:
         raise ValueError(
-            f"n_qubits must be in [{MIN_QUBITS}, {max_qubits}], got {n_qubits}")
+            f"n_qubits must be in [{MIN_QUBITS}, {MAX_QUBITS}], got {n_qubits}")
     angles = np.asarray(angles, dtype=np.float64)
     if angles.shape != (N_ANGLES,):
         raise ValueError(f"expected {N_ANGLES} angles, got shape {angles.shape}")

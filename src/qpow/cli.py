@@ -13,13 +13,13 @@ import time
 from .analysis import (DEFAULT_MODEL, advantage_csv, bench_csv, bench_simulator,
                        find_crossover)
 from .chain import (DEFAULT_MAX_ATTEMPTS, ChainFormatError, MiningExhausted,
-                    NoisyBackend, load_chain, make_genesis, mine_block, pack_bits,
+                    NoisyBackend, load_chain, make_genesis, mine_block, prove,
                     save_chain, verify_chain)
-from .circuit import build_ansatz, format_circuit
-from .hashing import encode_angles, nibbles, sha3_256
+from .circuit import format_circuit
+from .hashing import nibbles
 from .noise import (PRESET_IDEAL, PRESET_TRANSPILED_QUITO, NoiseParams,
                     preset_cnots)
-from .simulator import histogram_csv, most_probable_state, sample_counts, simulate
+from .simulator import histogram_csv, probabilities, sample_counts
 
 # Fixed so demo runs reproduce; override with --seed.
 DEFAULT_SEED = 42
@@ -86,19 +86,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_hash(args: argparse.Namespace) -> int:
-    h1 = sha3_256(args.text.encode("utf-8"))
-    circuit = build_ansatz(encode_angles(h1), args.qubits)
-    state = simulate(circuit)
-    outcome = most_probable_state(state)
-    h2 = sha3_256(h1 + pack_bits(outcome.bits))
-    print(f"h1: {h1.hex()}")
-    print("angles (pi/8 units): " + " ".join(str(k) for k in nibbles(h1)))
-    print(f"outcome: {outcome.bits} (p = {outcome.probability:.6f})")
-    print(f"h2: {h2.hex()}")
+    proof = prove(args.text.encode("utf-8"), args.qubits)
+    probability = probabilities(proof.state)[int(proof.bits, 2)]
+    print(f"h1: {proof.h1.hex()}")
+    print("angles (pi/8 units): " + " ".join(str(k) for k in nibbles(proof.h1)))
+    print(f"outcome: {proof.bits} (p = {probability:.6f})")
+    print(f"h2: {proof.h2.hex()}")
     if args.dump_circuit:
-        print(format_circuit(circuit))
+        print(format_circuit(proof.circuit))
     if args.out is not None:
-        _write_out(histogram_csv(sample_counts(state, args.shots, seed=args.seed)), args.out)
+        _write_out(histogram_csv(sample_counts(proof.state, args.shots, seed=args.seed)),
+                   args.out)
         print(f"wrote {args.shots}-shot histogram to {args.out}")
     return 0
 

@@ -36,19 +36,15 @@ def num_qubits(state: np.ndarray) -> int:
     return n
 
 
-def _rx_on_axis0(sub: np.ndarray, angle: float, scratch: tuple[np.ndarray, np.ndarray] | None) -> None:
+def _rx_on_axis0(sub: np.ndarray, angle: float, scratch: tuple[np.ndarray, np.ndarray]) -> None:
     # sub's leading axis is the target qubit; rows are its |0> and |1> slices.
     # All arithmetic lands in the rows or the scratch buffers, no temporaries.
     c = math.cos(0.5 * angle)
     ms = -1j * math.sin(0.5 * angle)
     a0 = sub[0, ...]  # ellipsis keeps 0-d views writable when sub is 1-D
     a1 = sub[1, ...]
-    if scratch is None:
-        s = np.empty(a0.shape, dtype=np.complex128)
-        t = np.empty(a0.shape, dtype=np.complex128)
-    else:
-        s = scratch[0][:a0.size].reshape(a0.shape)
-        t = scratch[1][:a0.size].reshape(a0.shape)
+    s = scratch[0][:a0.size].reshape(a0.shape)
+    t = scratch[1][:a0.size].reshape(a0.shape)
     np.multiply(a1, ms, out=s)
     np.multiply(a1, c, out=t)
     np.multiply(a0, ms, out=a1)
@@ -58,7 +54,8 @@ def _rx_on_axis0(sub: np.ndarray, angle: float, scratch: tuple[np.ndarray, np.nd
 
 
 def apply_gate(state: np.ndarray, gate, n_qubits: int,
-               scratch: tuple[np.ndarray, np.ndarray] | None = None) -> None:
+               scratch: tuple[np.ndarray, np.ndarray]) -> None:
+    # scratch: two buffers of at least 2^(n-1) amplitudes, reused across gates.
     psi = state.reshape((2,) * n_qubits)
     if gate.kind == RX:
         _rx_on_axis0(np.moveaxis(psi, gate.target, 0), gate.angle, scratch)

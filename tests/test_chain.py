@@ -9,10 +9,11 @@ import qpow.chain as chain_mod
 from qpow.chain import (ZERO_HASH, Block, ChainFormatError, ExactBackend,
                         MiningExhausted, NoisyBackend, block_from_dict,
                         block_to_dict, check_difficulty, load_chain, make_genesis,
-                        mine_block, pack_bits, qpow_hash, save_chain,
+                        mine_block, pack_bits, prove, qpow_hash, save_chain,
                         serialize_text, verify_block, verify_chain)
 from qpow.hashing import sha3_256
 from qpow.noise import NoiseParams
+from qpow.simulator import most_probable_state
 
 PREV = sha3_256(b"previous block")
 
@@ -83,6 +84,15 @@ def test_qpow_hash_avalanche():
         assert qpow_hash(text, 2) != qpow_hash(bytes(flipped), 2)
 
 
+def test_prove_exposes_every_stage():
+    text = b"staged pipeline"
+    proof = prove(text, 4)
+    assert proof.h1 == sha3_256(text)
+    assert proof.circuit.n_qubits == 4
+    assert proof.bits == most_probable_state(proof.state).bits
+    assert proof.h2 == sha3_256(proof.h1 + pack_bits(proof.bits)) == qpow_hash(text, 4)
+
+
 def test_check_difficulty_cases():
     assert check_difficulty(PREV, 0)
     low = bytes.fromhex("0f" + "00" * 31)
@@ -132,6 +142,35 @@ def test_parallel_mining_matches_sequential():
     par, par_attempts = mine_block(genesis, "parallel", 1, 2, seed=6, jobs=2)
     assert (seq.nonce, seq.pow_hash) == (par.nonce, par.pow_hash)
     assert seq_attempts == par_attempts
+
+
+def _mine_pinned(n_qubits, n_blocks, seed, backend=None, jobs=1):
+    prev = make_genesis(n_qubits, timestamp=0)
+    mined = []
+    for i in range(n_blocks):
+        prev, attempts = mine_block(prev, f"tx {i + 1}", 2, n_qubits, backend=backend,
+                                    seed=seed + i, jobs=jobs)
+        mined.append((prev.nonce, prev.pow_hash.hex(), attempts))
+    return mined
+
+
+def test_mining_pinned_nonce_stream():
+    # Recorded from the two-loop miner: any change to the nonce stream, the
+    # noisy backend's draw order or the earliest-hit rule shows up here.
+    assert _mine_pinned(4, 3, seed=11) == [
+        (898922921, "00c6a66a46c68e75aa98b4a46aa8a9cfa2296e75c80fbabf665c523031e06be5", 288),
+        (3898152906, "00d671321f2a3090cba8175124dc439fe3157740f94fa883e05a7bb9a30251c8", 155),
+        (1939453579, "00aee1f1b34212b6cbd1be45191dd40da5bf8038cffc83e5cc66eab09c5ffa15", 834),
+    ]
+    noisy = NoisyBackend(NoiseParams(effective_cnots=40.4, seed=7))
+    assert _mine_pinned(4, 3, seed=21, backend=noisy) == [
+        (2550911897, "00f4aca6106e2854d44799c36f5354cedae6e15223d7808a23971f4a7e08d4bd", 69),
+        (2732754371, "00755263bb1d8c1990d22f75349ab0f01e33812622e3379ebb7b9133d22361b7", 210),
+        (2925690814, "00365615c7904a0d314944098c63bc43f7e66bf2f50dff0fbab5baa3116bc3d5", 270),
+    ]
+    assert _mine_pinned(3, 1, seed=31, jobs=2) == [
+        (514822950, "00cb50b169098e7627bd0363d8f2c04253acb986cf2ff317b71ee144458f9489", 542),
+    ]
 
 
 def test_parallel_noisy_mining_rejected():
@@ -196,6 +235,18 @@ def test_verify_chain_detects_tampered_nonce():
     assert result.checks[3].ok
 
 
+@pytest.mark.parametrize("position", [0, 2])
+def test_verify_chain_out_of_range_nonce_is_a_verdict(position):
+    chain = mined_chain(3)
+    bad = chain[position]
+    chain[position] = Block(bad.index, bad.timestamp, bad.prev_hash, bad.payload,
+                            1 << 32, bad.n_qubits, bad.pow_hash)
+    result = verify_chain(chain, 1)
+    assert not result.ok
+    assert result.checks[position] == chain_mod.Verdict(position, False, "nonce-range")
+    assert [c.ok for c in result.checks[position + 1:]] == [True] * (3 - position)
+
+
 def test_verify_chain_detects_index_gap():
     chain = mined_chain(2)
     skipped = chain[2]
@@ -232,6 +283,23 @@ def test_chain_file_round_trip(tmp_path):
     assert all(entry["pow_hash"] == entry["pow_hash"].lower() for entry in raw)
 
 
+def test_save_chain_failure_keeps_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "chain.json"
+    old = mined_chain(1)
+    save_chain(old, path)
+
+    def failing_dump(obj, fh, **kwargs):
+        fh.write('[{"index": 0,')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(chain_mod.json, "dump", failing_dump)
+    with pytest.raises(OSError, match="disk full"):
+        save_chain(mined_chain(2), path)
+    monkeypatch.undo()
+    assert load_chain(path) == old
+    assert [p.name for p in tmp_path.iterdir()] == ["chain.json"]
+
+
 def test_block_dict_round_trip():
     block = mined_chain(1)[1]
     assert block_from_dict(block_to_dict(block)) == block
@@ -242,6 +310,13 @@ def test_block_dict_round_trip():
     lambda d: d.update(pow_hash="zz" * 32),
     lambda d: d.update(pow_hash="ab"),
     lambda d: d.update(extra=1),
+    lambda d: d.update(index=True),
+    lambda d: d.update(timestamp=0.0),
+    lambda d: d.update(nonce=1.9),
+    lambda d: d.update(n_qubits="2"),
+    lambda d: d.update(payload=["x"]),
+    lambda d: d.update(prev_hash=None),
+    lambda d: d.update(pow_hash=0),
 ])
 def test_block_from_dict_rejects_bad_shapes(mutate):
     data = block_to_dict(make_genesis(2, timestamp=0))

@@ -86,6 +86,19 @@ def test_verify_detects_tampering(tmp_path, capsys):
     assert "pow-hash" in err
 
 
+def test_verify_reports_out_of_range_nonce_per_block(tmp_path, capsys):
+    chain_path = str(tmp_path / "chain.json")
+    run(capsys, "mine", "--chain", chain_path, "--blocks", "3", "--qubits", "2")
+    data = json.loads(open(chain_path).read())
+    data[1]["nonce"] = 1 << 40
+    open(chain_path, "w").write(json.dumps(data))
+
+    code, out, err = run(capsys, "verify", "--chain", chain_path)
+    assert code == 1
+    assert "2/3 mined blocks pass" in out
+    assert "block 1: nonce-range" in err
+
+
 def test_verify_missing_file_is_io_error(tmp_path, capsys):
     code, _, err = run(capsys, "verify", "--chain", str(tmp_path / "absent.json"))
     assert code == 2
