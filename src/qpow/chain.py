@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, build_ansatz, count_two_qubit_gates
+from .circuit import MAX_QUBITS, MIN_QUBITS, Circuit, build_ansatz, count_two_qubit_gates
 from .hashing import DIGEST_SIZE, check_digest, encode_angles, sha3_256
 from .noise import NoiseParams, noisy_outcome
 from .simulator import most_probable_state, simulate
@@ -234,7 +234,10 @@ def mine_block(prev: Block, payload: str, difficulty: int, n_qubits: int,
 
 
 def _check_proof(block: Block) -> Verdict:
-    # Re-derive the recorded proof with the exact backend: one simulation.
+    # Re-derive the recorded proof with the exact backend: one simulation,
+    # allocated only after n_qubits is known to be in range.
+    if not MIN_QUBITS <= block.n_qubits <= MAX_QUBITS:
+        return Verdict(block.index, False, "n-qubits")
     if not 0 <= block.nonce < 1 << NONCE_BITS:
         return Verdict(block.index, False, "nonce-range")
     text = serialize_text(block.nonce, block.payload, block.prev_hash)
@@ -245,8 +248,8 @@ def _check_proof(block: Block) -> Verdict:
 def verify_block(block: Block, prev: Block, difficulty: int) -> Verdict:
     """Re-derive the proof with the exact backend; at most one simulation.
 
-    The boolean verdict carries a reason code: prev-hash, nonce-range,
-    pow-hash, difficulty, or ok.
+    The boolean verdict carries a reason code: prev-hash, n-qubits,
+    nonce-range, pow-hash, difficulty, or ok.
     """
     if block.prev_hash != prev.pow_hash:
         return Verdict(block.index, False, "prev-hash")
@@ -262,6 +265,7 @@ def verify_chain(chain: list[Block], difficulty: int) -> ChainVerification:
     Each mined block is judged independently against its stored predecessor,
     so one bad block does not mask the verdicts of the blocks after it.
     The genesis is held to structure and proof re-derivation, not difficulty.
+    Every block must use the genesis's qubit count.
     """
     if not chain:
         raise ValueError("chain must be non-empty")
@@ -273,6 +277,8 @@ def verify_chain(chain: list[Block], difficulty: int) -> ChainVerification:
     for prev, block in zip(chain, chain[1:]):
         if block.index != prev.index + 1:
             checks.append(Verdict(block.index, False, "index"))
+        elif block.n_qubits != genesis.n_qubits:
+            checks.append(Verdict(block.index, False, "n-qubits"))
         else:
             checks.append(verify_block(block, prev, difficulty))
     return ChainVerification(all(c.ok for c in checks), tuple(checks))
@@ -304,6 +310,7 @@ def block_from_dict(data: dict) -> Block:
         if type(data[name]) is not (str if name in _STRING_FIELDS else int):
             raise ChainFormatError(f"block field {name!r} has the wrong type: {data[name]!r}")
     try:
+        data["payload"].encode("utf-8")  # a lone surrogate cannot be hashed
         block = Block(
             index=data["index"],
             timestamp=data["timestamp"],

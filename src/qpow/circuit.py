@@ -5,11 +5,16 @@ bit for bit: per layer, an rx/rz pair on every qubit in ascending order, then
 all-to-all crx entanglers with controls descending and targets ascending.
 Layers repeat until the 64 angles are consumed, truncating mid-layer, so each
 angle parametrizes exactly one gate.
+
+The stream depends only on n, so it is computed once per qubit count as a
+template of (kind, target, control) triples; an ansatz circuit is that shared
+template plus its 64 angles.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -21,6 +26,9 @@ MAX_QUBITS = 30
 RX = "rx"
 RZ = "rz"
 CRX = "crx"
+
+# One gate's structure: (kind, target, control); control is None for rx/rz.
+Slot = tuple[str, int, int | None]
 
 
 @dataclass(frozen=True)
@@ -44,29 +52,65 @@ class Gate:
             raise ValueError(f"{self.kind} gate takes no control qubit")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Circuit:
-    n_qubits: int
-    gates: tuple[Gate, ...]
+    """A gate stream on ``n_qubits``: gate i has structure ``template[i]`` and angle ``angles[i]``.
 
-    def __post_init__(self) -> None:
-        for gate in self.gates:
+    ``Circuit(n, gates)`` validates hand-built Gate records; ``build_ansatz``
+    shares the cached per-n template and builds no Gate objects.
+    """
+
+    n_qubits: int
+    template: tuple[Slot, ...]
+    angles: tuple[float, ...]
+
+    def __init__(self, n_qubits: int, gates: Iterable[Gate]) -> None:
+        gates = tuple(gates)
+        for gate in gates:
             qubits = (gate.target,) if gate.control is None else (gate.target, gate.control)
             for q in qubits:
-                if not 0 <= q < self.n_qubits:
-                    raise ValueError(f"qubit index {q} out of range for {self.n_qubits} qubits")
+                if not 0 <= q < n_qubits:
+                    raise ValueError(f"qubit index {q} out of range for {n_qubits} qubits")
+        self._fill(n_qubits, tuple((g.kind, g.target, g.control) for g in gates),
+                   tuple(g.angle for g in gates))
+
+    @classmethod
+    def _of(cls, n_qubits: int, template: tuple[Slot, ...], angles: tuple[float, ...]) -> Circuit:
+        # For templates that are valid by construction: no per-gate checks.
+        circuit = object.__new__(cls)
+        circuit._fill(n_qubits, template, angles)
+        return circuit
+
+    def _fill(self, n_qubits: int, template: tuple[Slot, ...], angles: tuple[float, ...]) -> None:
+        object.__setattr__(self, "n_qubits", n_qubits)
+        object.__setattr__(self, "template", template)
+        object.__setattr__(self, "angles", angles)
+
+    @property
+    def gates(self) -> tuple[Gate, ...]:
+        """The stream as Gate records, made on demand."""
+        return tuple(map(_gate, self.template, self.angles))
 
 
-def _gate_template(n_qubits: int) -> Iterator[tuple[str, int, int | None]]:
-    # Endless emission order; zipping against the angle vector truncates it.
-    while True:
+@functools.lru_cache(maxsize=4096)
+def _gate(slot: Slot, angle: float) -> Gate:
+    # Gate records are immutable, so circuits share them; an ansatz has at
+    # most 64 slots x 16 angle levels per n. Building 64 fresh records took
+    # 75 us, about a twelfth of an n=4 hash.
+    kind, target, control = slot
+    return Gate(kind, target, angle, control)
+
+
+@functools.lru_cache(maxsize=None)
+def ansatz_template(n_qubits: int) -> tuple[Slot, ...]:
+    """The (kind, target, control) of each of the 64 ansatz gates at ``n_qubits``."""
+    template: list[Slot] = []
+    while len(template) < N_ANGLES:
         for q in range(n_qubits):
-            yield RX, q, None
-            yield RZ, q, None
+            template += [(RX, q, None), (RZ, q, None)]
         for control in range(n_qubits - 1, -1, -1):
-            for target in range(n_qubits):
-                if target != control:
-                    yield CRX, target, control
+            template += [(CRX, target, control) for target in range(n_qubits) if target != control]
+    return tuple(template[:N_ANGLES])
 
 
 def build_ansatz(angles: Sequence[float] | np.ndarray, n_qubits: int) -> Circuit:
@@ -81,22 +125,18 @@ def build_ansatz(angles: Sequence[float] | np.ndarray, n_qubits: int) -> Circuit
     angles = np.asarray(angles, dtype=np.float64)
     if angles.shape != (N_ANGLES,):
         raise ValueError(f"expected {N_ANGLES} angles, got shape {angles.shape}")
-    gates = tuple(
-        Gate(kind, target, float(angle), control)
-        for angle, (kind, target, control) in zip(angles, _gate_template(n_qubits))
-    )
-    return Circuit(n_qubits, gates)
+    return Circuit._of(n_qubits, ansatz_template(n_qubits), tuple(angles.tolist()))
 
 
 def count_two_qubit_gates(circuit: Circuit) -> int:
     """Number of crx gates in the circuit (n*n - n per full entangling sub-layer)."""
-    return sum(1 for gate in circuit.gates if gate.kind == CRX)
+    return sum(1 for kind, _, _ in circuit.template if kind == CRX)
 
 
 def format_circuit(circuit: Circuit) -> str:
     """One gate per line (kind, control, target, angle in pi/8 units) for diffing."""
     lines = []
-    for gate in circuit.gates:
-        control = "-" if gate.control is None else str(gate.control)
-        lines.append(f"{gate.kind} {control} {gate.target} {gate.angle / ANGLE_STEP:.6g}")
+    for (kind, target, control), angle in zip(circuit.template, circuit.angles):
+        shown = "-" if control is None else str(control)
+        lines.append(f"{kind} {shown} {target} {angle / ANGLE_STEP:.6g}")
     return "\n".join(lines)

@@ -1,4 +1,6 @@
 """Brute-force oracles kept independent of the library's strided simulator."""
+import functools
+
 import numpy as np
 
 I2 = np.eye(2, dtype=complex)
@@ -41,6 +43,42 @@ def simulate_dense(circuit) -> np.ndarray:
     for gate in circuit.gates:
         state = gate_unitary(gate, circuit.n_qubits) @ state
     return state
+
+
+def simulate_product_prefix(circuit) -> np.ndarray:
+    """The same circuit, computed in another order with other rounding.
+
+    The single-qubit gates before the first crx act on |0...0>, so they give
+    a product state, built as a Kronecker product of one 2-vector per qubit.
+    The remaining gates contract a 2x2 matrix into the target axis (inside
+    the control = 1 slice for crx) with tensordot.
+    """
+    n = circuit.n_qubits
+    gates = list(circuit.gates)
+    qubits = [np.array([1, 0], dtype=complex) for _ in range(n)]
+    prefix = 0
+    for gate in gates:
+        if gate.kind == "crx":
+            break
+        matrix = rx_matrix if gate.kind == "rx" else rz_matrix
+        qubits[gate.target] = matrix(gate.angle) @ qubits[gate.target]
+        prefix += 1
+    psi = functools.reduce(np.kron, qubits).reshape((2,) * n)
+    for gate in gates[prefix:]:
+        sub, axis = psi, gate.target
+        if gate.kind == "crx":
+            sub = psi[(slice(None),) * gate.control + (1,)]
+            axis -= gate.target > gate.control
+        matrix = rz_matrix(gate.angle) if gate.kind == "rz" else rx_matrix(gate.angle)
+        sub[...] = np.moveaxis(np.tensordot(matrix, sub, axes=([1], [axis])), 0, axis)
+    return psi.reshape(-1)
+
+
+def outcome_index(state: np.ndarray, tol: float = 1e-9) -> int:
+    """Lowest index whose probability is within a relative ``tol`` of the maximum."""
+    probs = np.abs(state) ** 2
+    best = max(probs)
+    return next(i for i, p in enumerate(probs) if p >= best * (1.0 - tol))
 
 
 def argmax_exhaustive(state: np.ndarray) -> str:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -11,9 +12,10 @@ from qpow.chain import (ZERO_HASH, Block, ChainFormatError, ExactBackend,
                         block_to_dict, check_difficulty, load_chain, make_genesis,
                         mine_block, pack_bits, prove, qpow_hash, save_chain,
                         serialize_text, verify_block, verify_chain)
-from qpow.hashing import sha3_256
-from qpow.noise import NoiseParams
-from qpow.simulator import most_probable_state
+from qpow.circuit import CRX, Gate, ansatz_template, build_ansatz, count_two_qubit_gates
+from qpow.hashing import encode_angles, sha3_256
+from qpow.noise import NoiseParams, noisy_outcome
+from qpow.simulator import most_probable_state, simulate
 
 PREV = sha3_256(b"previous block")
 
@@ -91,6 +93,45 @@ def test_prove_exposes_every_stage():
     assert proof.circuit.n_qubits == 4
     assert proof.bits == most_probable_state(proof.state).bits
     assert proof.h2 == sha3_256(proof.h1 + pack_bits(proof.bits)) == qpow_hash(text, 4)
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+def test_staged_layers_equal_qpow_hash(noisy):
+    # The layer functions chained by hand, as the traced benchmark replay
+    # drives them, must give qpow_hash's proof; noisy runs share a seed.
+    for n in range(2, 7):
+        params = NoiseParams(effective_cnots=40.4, seed=n)
+        rng = np.random.default_rng(params.seed)
+        backend = NoisyBackend(params) if noisy else None
+        crx = sum(kind == CRX for kind, _, _ in ansatz_template(n))
+        for i in range(40):
+            text = f"layers {n} {i}".encode()
+            h1 = sha3_256(text)
+            circuit = build_ansatz(encode_angles(h1), n)
+            assert (len(circuit.gates), count_two_qubit_gates(circuit)) == (64, crx)
+            state = simulate(circuit)
+            if noisy:
+                bits = noisy_outcome(state, params, params.effective_cnots, rng)
+            else:
+                bits = most_probable_state(state).bits
+            assert sha3_256(h1 + pack_bits(bits)) == qpow_hash(text, n, backend)
+
+
+def test_qpow_hash_builds_no_gate_records(monkeypatch):
+    built = 0
+    real_post_init = Gate.__post_init__
+
+    def counting(self):
+        nonlocal built
+        built += 1
+        real_post_init(self)
+
+    monkeypatch.setattr(Gate, "__post_init__", counting)
+    qpow_hash(b"template only", 4)
+    qpow_hash(b"template only", 4, NoisyBackend(NoiseParams()))
+    assert built == 0
+    Gate(CRX, 0, 0.5, control=1)
+    assert built == 1
 
 
 def test_check_difficulty_cases():
@@ -247,6 +288,20 @@ def test_verify_chain_out_of_range_nonce_is_a_verdict(position):
     assert [c.ok for c in result.checks[position + 1:]] == [True] * (3 - position)
 
 
+@pytest.mark.parametrize("position, n_qubits", [(0, 1), (2, 1), (2, 31), (2, 3)])
+def test_verify_chain_n_qubits_is_a_verdict(position, n_qubits):
+    # Out of [2, 30] or unlike the genesis: judged before anything is simulated.
+    chain = mined_chain(3)
+    chain[position] = dataclasses.replace(chain[position], n_qubits=n_qubits)
+    result = verify_chain(chain, 1)
+    if position == 0:
+        assert [c.reason for c in result.checks] == ["n-qubits"] * 4
+    else:
+        assert [c.reason for c in result.checks] == ["ok", "ok", "n-qubits", "ok"]
+        if n_qubits != 3:
+            assert verify_block(chain[2], chain[1], 1).reason == "n-qubits"
+
+
 def test_verify_chain_detects_index_gap():
     chain = mined_chain(2)
     skipped = chain[2]
@@ -317,6 +372,7 @@ def test_block_dict_round_trip():
     lambda d: d.update(payload=["x"]),
     lambda d: d.update(prev_hash=None),
     lambda d: d.update(pow_hash=0),
+    lambda d: d.update(payload="\ud800"),
 ])
 def test_block_from_dict_rejects_bad_shapes(mutate):
     data = block_to_dict(make_genesis(2, timestamp=0))

@@ -99,6 +99,19 @@ def test_verify_reports_out_of_range_nonce_per_block(tmp_path, capsys):
     assert "block 1: nonce-range" in err
 
 
+@pytest.mark.parametrize("position, n_qubits", [(0, 1), (2, 3)])
+def test_verify_reports_bad_qubit_count_per_block(tmp_path, capsys, position, n_qubits):
+    chain_path = str(tmp_path / "chain.json")
+    run(capsys, "mine", "--chain", chain_path, "--blocks", "3", "--qubits", "2")
+    data = json.loads(open(chain_path).read())
+    data[position]["n_qubits"] = n_qubits
+    open(chain_path, "w").write(json.dumps(data))
+
+    code, out, err = run(capsys, "verify", "--chain", chain_path)
+    assert code == 1
+    assert f"block {position}: n-qubits" in err
+
+
 def test_verify_missing_file_is_io_error(tmp_path, capsys):
     code, _, err = run(capsys, "verify", "--chain", str(tmp_path / "absent.json"))
     assert code == 2

@@ -8,7 +8,8 @@ from qpow.hashing import encode_angles, sha3_256
 from qpow.simulator import (histogram_csv, most_probable_state, num_qubits,
                             sample_counts, simulate)
 
-from oracles import argmax_exhaustive, simulate_dense
+from oracles import (argmax_exhaustive, outcome_index, simulate_dense,
+                     simulate_product_prefix)
 
 
 def ansatz_from(seed_text: bytes, n: int):
@@ -59,6 +60,23 @@ def test_argmax_matches_exhaustive_enumeration():
         circuit = ansatz_from(f"argmax {i}".encode(), 3)
         state = simulate(circuit)
         assert most_probable_state(state).bits == argmax_exhaustive(state)
+
+
+def test_readout_is_a_function_of_the_mathematics():
+    # Ties in the top probability are common from n = 8 on; plain argmax then
+    # follows rounding, so an equivalent simulator would fork the outcome.
+    argmax_differs = 0
+    for n, digests in ((8, 400), (10, 350), (12, 300)):
+        for i in range(digests):
+            circuit = ansatz_from(f"readout {n} {i}".encode(), n)
+            state = simulate(circuit)
+            idx = int(most_probable_state(state).bits, 2)
+            other = simulate_product_prefix(circuit)
+            assert idx == outcome_index(other), (n, i)
+            if n == 8 and i < 100:
+                assert idx == outcome_index(simulate_dense(circuit)), (n, i)
+            argmax_differs += np.argmax(np.abs(state) ** 2) != np.argmax(np.abs(other) ** 2)
+    assert argmax_differs > 0
 
 
 def test_norm_checked_simulation_passes():
