@@ -23,6 +23,7 @@ from .simulator import histogram_csv, probabilities, sample_counts
 
 # Fixed so demo runs reproduce; override with --seed.
 DEFAULT_SEED = 42
+DEFAULT_QUBITS = 4
 
 
 def _write_out(text: str, path: str | None) -> None:
@@ -33,10 +34,10 @@ def _write_out(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-def _make_backend(args: argparse.Namespace) -> NoisyBackend | None:
+def _make_backend(args: argparse.Namespace, n_qubits: int) -> NoisyBackend | None:
     if args.backend == "exact":
         return None
-    cnots = preset_cnots(args.qubits, args.noise_preset)
+    cnots = preset_cnots(n_qubits, args.noise_preset)
     return NoisyBackend(NoiseParams(effective_cnots=cnots, seed=args.seed))
 
 
@@ -50,15 +51,20 @@ def cmd_mine(args: argparse.Namespace) -> int:
     if os.path.exists(args.chain):
         chain = load_chain(args.chain)
         _require_consecutive(chain)
+        n_qubits = chain[0].n_qubits
+        if args.qubits not in (None, n_qubits):
+            raise ValueError(f"--qubits {args.qubits} differs from the chain's "
+                             f"{n_qubits} qubits in {args.chain}")
     else:
-        chain = [make_genesis(args.qubits)]
-        print(f"created genesis block ({args.qubits} qubits)")
-    backend = _make_backend(args)
+        n_qubits = DEFAULT_QUBITS if args.qubits is None else args.qubits
+        chain = [make_genesis(n_qubits)]
+        print(f"created genesis block ({n_qubits} qubits)")
+    backend = _make_backend(args, n_qubits)
     for _ in range(args.blocks):
         prev = chain[-1]
         start = time.perf_counter()
         block, attempts = mine_block(
-            prev, f"tx {prev.index + 1}", args.difficulty, args.qubits,
+            prev, f"tx {prev.index + 1}", args.difficulty, n_qubits,
             backend=backend, seed=args.seed + prev.index + 1,
             max_attempts=args.max_attempts, jobs=args.jobs)
         elapsed = time.perf_counter() - start
@@ -141,7 +147,9 @@ def build_parser() -> argparse.ArgumentParser:
     mine.add_argument("--blocks", type=int, default=5, help="blocks to append")
     mine.add_argument("--difficulty", type=int, default=1,
                       help="required leading zero hex characters")
-    mine.add_argument("--qubits", type=int, default=4)
+    mine.add_argument("--qubits", type=int, default=None,
+                      help=f"qubits of a new chain (default {DEFAULT_QUBITS}); "
+                           "an existing chain keeps its own")
     mine.add_argument("--backend", choices=["exact", "noisy"], default="exact")
     mine.add_argument("--noise-preset", choices=[PRESET_IDEAL, PRESET_TRANSPILED_QUITO],
                       default=PRESET_TRANSPILED_QUITO)
@@ -158,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     hash_cmd = sub.add_parser("hash", help="trace the proof pipeline for one input")
     hash_cmd.add_argument("text", help="input text to push through the pipeline")
-    hash_cmd.add_argument("--qubits", type=int, default=4)
+    hash_cmd.add_argument("--qubits", type=int, default=DEFAULT_QUBITS)
     hash_cmd.add_argument("--shots", type=int, default=20000,
                           help="shots for the histogram written with --out")
     hash_cmd.add_argument("--seed", type=int, default=DEFAULT_SEED)

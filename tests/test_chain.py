@@ -77,6 +77,35 @@ def test_qpow_hash_deterministic():
     assert qpow_hash(b"determinism check", 4) == qpow_hash(b"determinism check", 4)
 
 
+# sha3-256 over the h2 of texts "consensus pin {n} {i}", i < 64 (i < 4 at
+# n = 16), recorded from the six-op simulator that ran every gate on the full
+# state. Any simulator change that alters a single outcome forks consensus.
+CONSENSUS_PIN = {
+    2: "92096151ee8e0c28d04c8e8811472cbc1f25982dab7ae0ea328362a3d60975dd",
+    3: "98628e25cfc29b19f5ed824febd5fd979edb96cda804e110ca01fb683b72a8e2",
+    4: "882e2dd60f6cccb38618a03be6809ab67bf9cf0ffed5a9f3ed9f50b257090e30",
+    5: "5b31a5ce9789ff8e24934ce9b935d543969d11969d63da9ef90563a7db1d8588",
+    6: "4206b0182b6ea16e863ab519b304490692e020f761d0774acbe07aa27dddee9d",
+    7: "1514336c9008a43adf9f0e5c4de8bbbe8c6517257c87b3d39572fb18e02e18e4",
+    8: "dcdab4359562bfeb6ceae9bf5d92f47027ea6910f61c4d808e6cf80f25d5445e",
+    9: "de8da263d1c4dbdb578509beb72020350e12094f30affd4b0363aa3c7d36d304",
+    10: "1676b5fc163a535f9b55a8171ff3bf66588aabb0e5d74faaecae70f6001a2446",
+    11: "7c7142c47c72f1a263ac314eb8dec5a71c92d9a2edbec21423f210d1b10a4d6e",
+    12: "7d5c075f627a7b03fe3ac7335cc0a5d8fe0b9e04cea84d32d4dd159a5d70a4ff",
+    13: "3f8790636b3d6f2c606ad473e3c9b797fe83093f972919f67ab024113dd5b806",
+    14: "7d500374c8724915efea0dd6e64871f6a52566f728c44ca13d0522f704307bf2",
+    16: "abf1211269ec36d6a62e500906e9a7cd15854bc4f9bbe14330aac5287d95b79a",
+}
+
+
+@pytest.mark.parametrize("n_qubits", sorted(CONSENSUS_PIN))
+def test_qpow_hash_consensus_pin(n_qubits):
+    count = 4 if n_qubits == 16 else 64
+    h2s = b"".join(qpow_hash(f"consensus pin {n_qubits} {i}".encode(), n_qubits)
+                   for i in range(count))
+    assert sha3_256(h2s).hex() == CONSENSUS_PIN[n_qubits]
+
+
 def test_qpow_hash_avalanche():
     rng = np.random.default_rng(0)
     for _ in range(10):

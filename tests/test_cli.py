@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+import qpow.cli as cli_mod
 from qpow.chain import load_chain, qpow_hash
 from qpow.cli import main
 from qpow.hashing import sha3_256
+from qpow.noise import preset_cnots
 
 
 def run(capsys, *argv):
@@ -33,6 +35,31 @@ def test_mine_extends_existing_chain(tmp_path, capsys):
     assert run(capsys, "mine", "--chain", chain_path, "--blocks", "1", "--qubits", "2")[0] == 0
     assert run(capsys, "mine", "--chain", chain_path, "--blocks", "2", "--qubits", "2")[0] == 0
     assert [b.index for b in load_chain(chain_path)] == [0, 1, 2, 3]
+
+
+def test_mine_extends_at_the_chains_qubit_count(tmp_path, capsys, monkeypatch):
+    chain_path = str(tmp_path / "chain.json")
+    assert run(capsys, "mine", "--chain", chain_path, "--blocks", "1", "--qubits", "2")[0] == 0
+    presets = []
+    monkeypatch.setattr(cli_mod, "preset_cnots",
+                        lambda n, preset: presets.append(n) or preset_cnots(n, preset))
+    assert run(capsys, "mine", "--chain", chain_path, "--blocks", "1", "--backend", "noisy",
+               "--noise-preset", "ideal")[0] == 0
+    assert run(capsys, "mine", "--chain", chain_path, "--blocks", "1")[0] == 0
+    assert presets == [2]
+    assert [b.n_qubits for b in load_chain(chain_path)] == [2, 2, 2, 2]
+    assert run(capsys, "verify", "--chain", chain_path)[0] == 0
+
+
+def test_mine_rejects_qubits_that_differ_from_the_chain(tmp_path, capsys):
+    chain_path = tmp_path / "chain.json"
+    assert run(capsys, "mine", "--chain", str(chain_path), "--blocks", "1", "--qubits", "2")[0] == 0
+    before = chain_path.read_bytes()
+    code, out, err = run(capsys, "mine", "--chain", str(chain_path), "--blocks", "1",
+                         "--qubits", "3")
+    assert code == 2
+    assert "--qubits 3" in err and "attempts" not in out
+    assert chain_path.read_bytes() == before
 
 
 def test_mine_zero_blocks_writes_genesis_only(tmp_path, capsys):

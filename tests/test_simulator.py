@@ -79,6 +79,67 @@ def test_readout_is_a_function_of_the_mathematics():
     assert argmax_differs > 0
 
 
+# Hand-built circuits around the end of the single-qubit prefix that
+# simulate folds into a product state before the first crx.
+PREFIX_BOUNDARY_CIRCUITS = {
+    "empty": Circuit(3, ()),
+    "no-crx": Circuit(3, (Gate(RX, 0, 0.3), Gate(RZ, 1, 1.1), Gate(RX, 2, -2.0),
+                          Gate(RZ, 0, 0.7), Gate(RX, 1, 2.9))),
+    "crx-first": Circuit(3, (Gate(CRX, 2, 1.3, control=0), Gate(RX, 0, 0.8),
+                             Gate(CRX, 1, -0.6, control=0), Gate(RZ, 1, 0.4))),
+    "some-qubits": Circuit(4, (Gate(RX, 1, 1.9), Gate(RZ, 3, 0.5), Gate(RX, 3, -1.2),
+                               Gate(CRX, 0, 2.2, control=1), Gate(CRX, 2, 0.9, control=3),
+                               Gate(RX, 2, 0.1))),
+    "one-qubit-many": Circuit(3, (Gate(RX, 1, 0.4), Gate(RZ, 1, 1.7), Gate(RX, 1, -2.5),
+                                  Gate(RZ, 1, 0.2), Gate(RX, 1, 3.0),
+                                  Gate(CRX, 0, 1.0, control=1), Gate(RX, 1, 0.6))),
+    "n2": Circuit(2, (Gate(RX, 0, 1.4), Gate(RZ, 1, 0.6), Gate(RX, 1, 2.1),
+                      Gate(CRX, 1, 0.9, control=0), Gate(CRX, 0, -1.7, control=1),
+                      Gate(RZ, 0, 0.3))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PREFIX_BOUNDARY_CIRCUITS))
+def test_prefix_boundary_matches_dense_oracle(name):
+    circuit = PREFIX_BOUNDARY_CIRCUITS[name]
+    np.testing.assert_allclose(simulate(circuit, check_norm=True), simulate_dense(circuit),
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_random_angle_ansatz_matches_dense_oracle(n):
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        circuit = build_ansatz(rng.uniform(-2 * math.pi, 2 * math.pi, 64), n)
+        np.testing.assert_allclose(simulate(circuit, check_norm=True), simulate_dense(circuit),
+                                   rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_random_gate_streams_match_dense_oracle(n):
+    # Streams of every kind in random order, so the prefix ends anywhere.
+    rng = np.random.default_rng(100 + n)
+    for _ in range(10):
+        gates = []
+        for _ in range(int(rng.integers(0, 16))):
+            kind = (RX, RZ, CRX)[int(rng.integers(3))]
+            target, control = (int(q) for q in rng.choice(n, 2, replace=False))
+            gates.append(Gate(kind, target, float(rng.uniform(-7, 7)),
+                              control if kind == CRX else None))
+        circuit = Circuit(n, gates)
+        np.testing.assert_allclose(simulate(circuit, check_norm=True), simulate_dense(circuit),
+                                   rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("gates", [
+    (Gate(RX, 0, math.nan),),
+    (Gate(RX, 0, 0.5), Gate(CRX, 1, math.nan, control=0)),
+])
+def test_norm_check_rejects_non_finite_state(gates):
+    with pytest.raises(RuntimeError, match="norm"):
+        simulate(Circuit(2, gates), check_norm=True)
+
+
 def test_norm_checked_simulation_passes():
     for i in range(10):
         simulate(ansatz_from(f"norm {i}".encode(), 5), check_norm=True)
