@@ -233,10 +233,10 @@ def mine_block(prev: Block, payload: str, difficulty: int, n_qubits: int,
     raise MiningExhausted(max_attempts)
 
 
-def _check_proof(block: Block) -> Verdict:
+def _check_proof(block: Block, max_qubits: int) -> Verdict:
     # Re-derive the recorded proof with the exact backend: one simulation,
     # allocated only after n_qubits is known to be in range.
-    if not MIN_QUBITS <= block.n_qubits <= MAX_QUBITS:
+    if not MIN_QUBITS <= block.n_qubits <= min(max_qubits, MAX_QUBITS):
         return Verdict(block.index, False, "n-qubits")
     if not 0 <= block.nonce < 1 << NONCE_BITS:
         return Verdict(block.index, False, "nonce-range")
@@ -245,27 +245,31 @@ def _check_proof(block: Block) -> Verdict:
     return Verdict(block.index, ok, "ok" if ok else "pow-hash")
 
 
-def verify_block(block: Block, prev: Block, difficulty: int) -> Verdict:
+def verify_block(block: Block, prev: Block, difficulty: int,
+                 max_qubits: int = MAX_QUBITS) -> Verdict:
     """Re-derive the proof with the exact backend; at most one simulation.
 
     The boolean verdict carries a reason code: prev-hash, n-qubits,
-    nonce-range, pow-hash, difficulty, or ok.
+    nonce-range, pow-hash, difficulty, or ok. A block over ``max_qubits``
+    (or MAX_QUBITS) is judged n-qubits before anything is allocated.
     """
     if block.prev_hash != prev.pow_hash:
         return Verdict(block.index, False, "prev-hash")
-    verdict = _check_proof(block)
+    verdict = _check_proof(block, max_qubits)
     if verdict.ok and not check_difficulty(block.pow_hash, difficulty):
         return Verdict(block.index, False, "difficulty")
     return verdict
 
 
-def verify_chain(chain: list[Block], difficulty: int) -> ChainVerification:
+def verify_chain(chain: list[Block], difficulty: int,
+                 max_qubits: int = MAX_QUBITS) -> ChainVerification:
     """Check the genesis structure and every adjacent pair of blocks.
 
     Each mined block is judged independently against its stored predecessor,
     so one bad block does not mask the verdicts of the blocks after it.
     The genesis is held to structure and proof re-derivation, not difficulty.
-    Every block must use the genesis's qubit count.
+    Every block must use the genesis's qubit count, and no simulation runs
+    over ``max_qubits``, so a hostile file cannot demand a huge allocation.
     """
     if not chain:
         raise ValueError("chain must be non-empty")
@@ -273,14 +277,14 @@ def verify_chain(chain: list[Block], difficulty: int) -> ChainVerification:
     if genesis.index != 0 or genesis.prev_hash != ZERO_HASH:
         checks = [Verdict(genesis.index, False, "genesis-structure")]
     else:
-        checks = [_check_proof(genesis)]
+        checks = [_check_proof(genesis, max_qubits)]
     for prev, block in zip(chain, chain[1:]):
         if block.index != prev.index + 1:
             checks.append(Verdict(block.index, False, "index"))
         elif block.n_qubits != genesis.n_qubits:
             checks.append(Verdict(block.index, False, "n-qubits"))
         else:
-            checks.append(verify_block(block, prev, difficulty))
+            checks.append(verify_block(block, prev, difficulty, max_qubits))
     return ChainVerification(all(c.ok for c in checks), tuple(checks))
 
 

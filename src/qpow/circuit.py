@@ -13,6 +13,7 @@ template plus its 64 angles.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -43,6 +44,8 @@ class Gate:
     def __post_init__(self) -> None:
         if self.kind not in (RX, RZ, CRX):
             raise ValueError(f"unknown gate kind {self.kind!r}")
+        if not math.isfinite(self.angle):
+            raise ValueError(f"gate angle must be finite, got {self.angle!r}")
         if self.kind == CRX:
             if self.control is None:
                 raise ValueError("crx gate needs a control qubit")

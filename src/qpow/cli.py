@@ -11,7 +11,7 @@ import sys
 import time
 
 from .analysis import (DEFAULT_MODEL, advantage_csv, bench_csv, bench_simulator,
-                       find_crossover)
+                       find_crossover, max_feasible_qubits)
 from .chain import (DEFAULT_MAX_ATTEMPTS, ChainFormatError, MiningExhausted,
                     NoisyBackend, load_chain, make_genesis, mine_block, prove,
                     save_chain, verify_chain)
@@ -77,7 +77,10 @@ def cmd_mine(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    result = verify_chain(load_chain(args.chain), args.difficulty)
+    # The file is untrusted: judge a block whose statevector would not fit
+    # in available memory as n-qubits instead of allocating it.
+    result = verify_chain(load_chain(args.chain), args.difficulty,
+                          max_qubits=max_feasible_qubits())
     mined = [c for c in result.checks if c.index > 0]
     if mined:
         print(f"{sum(c.ok for c in mined)}/{len(mined)} mined blocks pass "

@@ -17,22 +17,32 @@ def rz_matrix(theta: float) -> np.ndarray:
     return np.array([[np.exp(-0.5j * theta), 0], [0, np.exp(0.5j * theta)]])
 
 
-def place(ops: dict, n: int) -> np.ndarray:
-    """Kronecker chain with qubit 0 as the leftmost (most significant) factor."""
-    full = np.eye(1, dtype=complex)
-    for q in range(n):
-        full = np.kron(full, ops.get(q, I2))
-    return full
+def place(core: np.ndarray, first: int, n: int) -> np.ndarray:
+    """``core`` on the qubits from ``first`` on, the identity on the others.
+
+    Qubit 0 is the leftmost (most significant) factor; the qubits before and
+    after the core are one identity block each, so a placement is two
+    Kronecker products however large n is.
+    """
+    span = core.shape[0].bit_length() - 1
+    return np.kron(np.kron(np.eye(1 << first), core), np.eye(1 << (n - first - span)))
 
 
 def gate_unitary(gate, n: int) -> np.ndarray:
     if gate.kind == "rx":
-        return place({gate.target: rx_matrix(gate.angle)}, n)
+        return place(rx_matrix(gate.angle), gate.target, n)
     if gate.kind == "rz":
-        return place({gate.target: rz_matrix(gate.angle)}, n)
+        return place(rz_matrix(gate.angle), gate.target, n)
     if gate.kind == "crx":
-        return (place({gate.control: P0}, n)
-                + place({gate.control: P1, gate.target: rx_matrix(gate.angle)}, n))
+        # The crx on the qubits from the lower of control and target to the
+        # higher: P0 (x) identity + P1 (x) rx, with the identity between them.
+        between = np.eye(1 << (abs(gate.target - gate.control) - 1))
+        rx = rx_matrix(gate.angle)
+        if gate.control < gate.target:
+            core = np.kron(np.kron(P0, between), I2) + np.kron(np.kron(P1, between), rx)
+        else:
+            core = np.kron(np.kron(I2, between), P0) + np.kron(np.kron(rx, between), P1)
+        return place(core, min(gate.control, gate.target), n)
     raise ValueError(gate.kind)
 
 

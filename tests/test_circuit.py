@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,14 @@ def test_gate_validation():
         Gate("h", 0, 0.0)
     with pytest.raises(ValueError):
         Circuit(2, (Gate(RX, 5, 0.0),))
+
+
+@pytest.mark.parametrize("angle", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("kind, control", [(RX, None), (RZ, None), (CRX, 1)])
+def test_gate_rejects_non_finite_angle(kind, control, angle):
+    # Such a gate would leave simulate with a math domain error or a NaN state.
+    with pytest.raises(ValueError, match="finite"):
+        Gate(kind, 0, angle, control)
 
 
 def test_format_circuit_lines():

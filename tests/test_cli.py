@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import qpow.chain as chain_mod
 import qpow.cli as cli_mod
 from qpow.chain import load_chain, qpow_hash
 from qpow.cli import main
@@ -137,6 +138,22 @@ def test_verify_reports_bad_qubit_count_per_block(tmp_path, capsys, position, n_
     code, out, err = run(capsys, "verify", "--chain", chain_path)
     assert code == 1
     assert f"block {position}: n-qubits" in err
+
+
+def test_verify_judges_blocks_over_the_memory_limit_before_simulating(
+        tmp_path, capsys, monkeypatch):
+    chain_path = str(tmp_path / "chain.json")
+    run(capsys, "mine", "--chain", chain_path, "--blocks", "2", "--qubits", "3")
+    monkeypatch.setattr(cli_mod, "max_feasible_qubits", lambda: 2)
+
+    def no_simulation(*args):
+        raise AssertionError("a block over the limit was simulated")
+
+    monkeypatch.setattr(chain_mod, "qpow_hash", no_simulation)
+    code, out, err = run(capsys, "verify", "--chain", chain_path)
+    assert code == 1
+    assert "0/2 mined blocks pass" in out
+    assert "block 0: n-qubits" in err
 
 
 def test_verify_missing_file_is_io_error(tmp_path, capsys):

@@ -5,8 +5,9 @@ import pytest
 
 from qpow.circuit import CRX, RX, RZ, Circuit, Gate, build_ansatz
 from qpow.hashing import encode_angles, sha3_256
-from qpow.simulator import (histogram_csv, most_probable_state, num_qubits,
-                            sample_counts, simulate)
+from qpow.simulator import (FUSE_MIN_QUBITS, READOUT_CHUNK, TIE_TOL, histogram_csv,
+                            most_probable_state, num_qubits, probabilities, sample_counts,
+                            simulate)
 
 from oracles import (argmax_exhaustive, outcome_index, simulate_dense,
                      simulate_product_prefix)
@@ -131,13 +132,107 @@ def test_random_gate_streams_match_dense_oracle(n):
                                    rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("gates", [
-    (Gate(RX, 0, math.nan),),
-    (Gate(RX, 0, 0.5), Gate(CRX, 1, math.nan, control=0)),
-])
-def test_norm_check_rejects_non_finite_state(gates):
+def fused_case(n: int, name: str) -> Circuit:
+    """Hand-built crx runs for the fused path, after an rx/rz on every qubit."""
+    rng = np.random.default_rng(sum(name.encode()) + n)
+
+    def angle():
+        return float(rng.uniform(-2 * math.pi, 2 * math.pi))
+
+    def crx(control, *targets):
+        return [Gate(CRX, t, angle(), control=control) for t in targets]
+
+    last = n - 1
+    mid = n // 2
+    body = {
+        "broken-by-rz": crx(last, 0, 1, 2) + [Gate(RZ, 3, angle())] + crx(last, 3, 4, 5),
+        "broken-by-rx": crx(last, 0, 1, 2) + [Gate(RX, 1, angle())] + crx(last, 1, 2, 3),
+        "repeated-target": crx(last, 2, 5, 2, 3, 2, 5),
+        "descending-gapped": crx(last, n - 3, 9, 7, 6, 3, 0),
+        "control-0": crx(0, 1, 2, 3, 4, 5, last),
+        "control-middle": crx(mid, *range(mid - 3, mid), *range(mid + 1, mid + 4)),
+        "control-last": crx(last, *range(last)),
+        "length-1": crx(mid, 2),
+        "runs-back-to-back": crx(last, 0, 1, 2, 3, 4) + crx(last - 1, 0, 1, 2, last),
+    }[name]
+    spread = [Gate(kind, q, angle()) for q in range(n) for kind in (RX, RZ)]
+    return Circuit(n, spread + body)
+
+
+FUSED_CASES = ["broken-by-rz", "broken-by-rx", "repeated-target", "descending-gapped",
+               "control-0", "control-middle", "control-last", "length-1",
+               "runs-back-to-back"]
+
+
+def assert_matches_product_prefix_oracle(circuit):
+    state = simulate(circuit, check_norm=True)
+    other = simulate_product_prefix(circuit)
+    np.testing.assert_allclose(state, other, rtol=0, atol=1e-12)
+    assert int(most_probable_state(state).bits, 2) == outcome_index(other)
+
+
+@pytest.mark.parametrize("n", [FUSE_MIN_QUBITS, FUSE_MIN_QUBITS + 1])
+@pytest.mark.parametrize("name", FUSED_CASES)
+def test_fused_crx_runs_match_product_prefix_oracle(name, n):
+    assert_matches_product_prefix_oracle(fused_case(n, name))
+
+
+@pytest.mark.parametrize("n", [FUSE_MIN_QUBITS, FUSE_MIN_QUBITS + 1, FUSE_MIN_QUBITS + 2])
+def test_fused_random_angle_ansatz_matches_product_prefix_oracle(n):
+    rng = np.random.default_rng(200 + n)
+    for _ in range(2):
+        assert_matches_product_prefix_oracle(
+            build_ansatz(rng.uniform(-2 * math.pi, 2 * math.pi, 64), n))
+
+
+def one_array_readout(state):
+    probs = probabilities(state)
+    idx = int(np.flatnonzero(probs >= probs.max() * (1.0 - TIE_TOL))[0])
+    return format(idx, f"0{num_qubits(state)}b"), float(probs[idx])
+
+
+def chunked_readout_case(name: str) -> np.ndarray:
+    edge = READOUT_CHUNK
+    rng = np.random.default_rng(17)
+    state = (rng.uniform(0.5, 1.0, 2 * edge) * np.exp(2j * math.pi * rng.random(2 * edge)))
+    state /= 1000.0
+    peak = 0.1 * np.exp(0.3j)
+    if name == "tie-across-edge":
+        state[edge - 1] = state[edge] = peak
+    elif name == "tie-across-edge-rotated":
+        state[edge - 1], state[edge] = peak, peak * 1j
+    elif name == "max-in-last-chunk":
+        state[-1] = peak
+    elif name == "near-tie-before-max":
+        state[5] = peak * math.sqrt(1 - 0.4 * TIE_TOL)
+        state[edge + 7] = peak
+    elif name == "gap-before-max":
+        state[5] = peak * math.sqrt(1 - 3 * TIE_TOL)
+        state[edge + 7] = peak
+    elif name == "max-in-first-chunk":  # with a runner-up above the last chunk
+        state[1] = peak * 0.9999
+        state[3] = peak
+        state[edge + 3] = peak * 0.999
+    return state
+
+
+@pytest.mark.parametrize("name", ["tie-across-edge", "tie-across-edge-rotated",
+                                  "max-in-last-chunk", "near-tie-before-max",
+                                  "gap-before-max", "max-in-first-chunk"])
+def test_chunked_readout_matches_one_array_rule(name):
+    state = chunked_readout_case(name)
+    assert num_qubits(state) == 17 and len(state) > READOUT_CHUNK
+    outcome = most_probable_state(state)
+    assert (outcome.bits, outcome.probability) == one_array_readout(state)
+
+
+@pytest.mark.parametrize("nan_at", [0, 4])  # the first rx, the first crx
+def test_norm_check_rejects_non_finite_state(nan_at):
+    # Gate refuses a NaN angle, but build_ansatz takes angles unchecked.
+    angles = np.full(64, 0.5)
+    angles[nan_at] = math.nan
     with pytest.raises(RuntimeError, match="norm"):
-        simulate(Circuit(2, gates), check_norm=True)
+        simulate(build_ansatz(angles, 2), check_norm=True)
 
 
 def test_norm_checked_simulation_passes():
