@@ -226,13 +226,18 @@ def test_chunked_readout_matches_one_array_rule(name):
     assert (outcome.bits, outcome.probability) == one_array_readout(state)
 
 
-@pytest.mark.parametrize("nan_at", [0, 4])  # the first rx, the first crx
-def test_norm_check_rejects_non_finite_state(nan_at):
+def ansatz_with_nan_at(index: int):
     # Gate refuses a NaN angle, but build_ansatz takes angles unchecked.
     angles = np.full(64, 0.5)
-    angles[nan_at] = math.nan
+    angles[index] = math.nan
+    return build_ansatz(angles, 2)
+
+
+@pytest.mark.parametrize("gates", [ansatz_with_nan_at(0),   # the first rx
+                                   ansatz_with_nan_at(4)])  # the first crx
+def test_norm_check_rejects_non_finite_state(gates):
     with pytest.raises(RuntimeError, match="norm"):
-        simulate(build_ansatz(angles, 2), check_norm=True)
+        simulate(gates, check_norm=True)
 
 
 def test_norm_checked_simulation_passes():
