@@ -128,6 +128,8 @@ def build_ansatz(angles: Sequence[float] | np.ndarray, n_qubits: int) -> Circuit
     angles = np.asarray(angles, dtype=np.float64)
     if angles.shape != (N_ANGLES,):
         raise ValueError(f"expected {N_ANGLES} angles, got shape {angles.shape}")
+    if not np.isfinite(angles).all():
+        raise ValueError("ansatz angles must be finite")
     return Circuit._of(n_qubits, ansatz_template(n_qubits), tuple(angles.tolist()))
 
 

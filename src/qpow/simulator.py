@@ -6,52 +6,43 @@ Conventions, used consistently by the chain layer:
 - the readout is the lowest basis-state index whose probability is within a
   relative TIE_TOL of the maximum, so rounding cannot pick among true ties.
 
-Every circuit runs in two parts. The rx/rz gates before the first crx act on
-|0...0>, so they leave a product state: they are folded into one 2-vector per
-qubit in scalar arithmetic, and the product is written into the amplitude
-array in one sweep. The later gates take one of two routes, chosen once per
-circuit by the state size:
-- below FUSE_MIN_QUBITS each gate acts in place on the |0> and |1> halves of
-  its target, picked from the (2,)*n view of the array by index tuples cached
-  per gate structure; an rx or crx passes over those strided halves four
-  times (two reads, two writes) by rotating their sum and difference;
-- from FUSE_MIN_QUBITS on, each maximal run of consecutive crx gates sharing
-  a control is one step. On the control = 1 half the run is a Kronecker
-  product of rx rotations (a repeated target's rotations multiplied in gate
-  order), so that half is copied into a contiguous buffer, adjacent target
-  axes are rotated together by one matrix of up to 16x16 through tiled
-  matrix products, and the result is copied back. rx/rz gates still go
-  gate by gate.
-The state and both half-size scratch buffers are one allocation of 2^(n+1)
-amplitudes; the returned state is a view of its first half.
+Every circuit, of any size, runs through one kernel. Its gates are split into
+maximal runs of consecutive gates that share a control field: stretches of
+rx/rz (no control) and runs of crx gates with one control. A run acts on a
+block of the state as one 2x2 matrix per axis, a repeated target's gates
+multiplied in gate order in scalar arithmetic: on the whole state for rx/rz,
+on the control = 1 half for crx. The rx/rz gates before the first crx act on
+|0...0>, so their matrices' first columns give a product state, written into
+the amplitude array in one sweep. Every later run rotates adjacent axes of
+its block together by one Kronecker matrix of up to 16x16 through tiled
+matrix products, alternating between the block and a scratch buffer of its
+size; a crx run's half is copied into the scratch and back. The state and
+its 2^n scratch buffer are one allocation of 2^(n+1) amplitudes; the
+returned state is a view of its first half.
 
 This order of arithmetic gives amplitudes that differ in the last bits (up
-to about 5e-16) from a gate-by-gate simulation over the full state; the
+to about 1e-15) from a gate-by-gate simulation over the full state; the
 readout's TIE_TOL makes the outcome, and so h2, the same for both.
 """
 from __future__ import annotations
 
 import cmath
-import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import CRX, RX, RZ, Circuit
+from .circuit import CRX, RZ, Circuit
 
 NORM_TOL = 1e-10
 # Probabilities within this relative gap of the maximum count as tied. In
 # random digests at n <= 16 the top two probabilities of the ansatz differ by
 # at least 2.8e-5 relative or only by rounding, at most 1e-12 relative.
 TIE_TOL = 1e-9
-# Same-control crx runs are fused from this qubit count on, where a
-# control = 1 half holds 2^13 amplitudes; smaller states go gate by gate.
-FUSE_MIN_QUBITS = 14
 # Adjacent target axes rotated by one Kronecker matrix (16x16 at most).
 FUSE_AXES = 4
-# Multiply-adds per BLAS call in a fused run.
+# Multiply-adds per BLAS call.
 TILE_MACS = 1 << 14
 # Probabilities per readout chunk.
 READOUT_CHUNK = 1 << 16
@@ -72,22 +63,6 @@ def num_qubits(state: np.ndarray) -> int:
     return n
 
 
-@functools.lru_cache(maxsize=None)
-def _halves(n_qubits: int, kind: str, target: int,
-            control: int | None) -> tuple[tuple, tuple]:
-    # Indices into the (2,)*n view of the state picking the target's |0> and
-    # |1> halves (within the control = 1 half for crx). The trailing Ellipsis
-    # keeps the picks views, so they stay writable when every axis is indexed.
-    axes: list = [slice(None)] * n_qubits
-    if kind == CRX:
-        axes[control] = 1
-    halves = []
-    for bit in (0, 1):
-        axes[target] = bit
-        halves.append(tuple(axes) + (Ellipsis,))
-    return halves[0], halves[1]
-
-
 def _check_norm(state: np.ndarray, where: str) -> None:
     norm = float(np.linalg.norm(state))
     if not abs(norm - 1.0) <= NORM_TOL:  # a NaN norm fails too
@@ -98,113 +73,101 @@ def simulate(circuit: Circuit, check_norm: bool = False) -> np.ndarray:
     """Run the circuit from |0...0> and return the final statevector.
 
     The result is a view into a 2^(n+1)-amplitude block that also held the
-    scratch buffers, so it keeps that block alive. With ``check_norm`` the
-    prefix, every later rx/rz or unfused crx gate and every fused crx run are
-    followed by a unitarity check that the L2 norm stayed within 1e-10 of 1;
-    violations raise RuntimeError.
+    scratch buffer, so it keeps that block alive. With ``check_norm`` the
+    prefix and every later run of gates are followed by a unitarity check
+    that the L2 norm stayed within 1e-10 of 1; violations raise RuntimeError.
     """
     n = circuit.n_qubits
     template, angles = circuit.template, circuit.angles
     prefix = next((i for i, (kind, _, _) in enumerate(template) if kind == CRX), len(template))
-    # Each qubit's (|0>, |1>) amplitudes after the prefix, in scalar arithmetic.
-    q0, q1 = [1 + 0j] * n, [0j] * n
-    for (kind, target, _), angle in zip(template[:prefix], angles):
-        a0, a1 = q0[target], q1[target]
-        if kind == RX:
-            c, ms = math.cos(0.5 * angle), -1j * math.sin(0.5 * angle)
-            q0[target], q1[target] = c * a0 + ms * a1, ms * a0 + c * a1
-        else:
-            q0[target], q1[target] = a0 * cmath.exp(-0.5j * angle), a1 * cmath.exp(0.5j * angle)
-    # One block: the state, then two half-size scratch buffers. From n = 20
-    # on it exceeds the 32 MiB ceiling of glibc's mmap threshold, so every
-    # call maps and unmaps it instead of leaving part of it in the heap.
+    # Column 0 of each qubit's matrix: its (|0>, |1>) amplitudes after the prefix.
+    columns = _fold(template[:prefix], angles[:prefix], None)
+    # One block: the state, then a scratch buffer of the same size. From
+    # n = 20 on it exceeds the 32 MiB ceiling of glibc's mmap threshold, so
+    # every call maps and unmaps it instead of leaving part of it in the heap.
     work = np.empty(2 << n, dtype=np.complex128)
-    state = work[:1 << n]
+    state, scratch = work[:1 << n], work[1 << n:]
     # The product, written in place: state[:size] holds the product of
     # qubits k+1..n-1, and qubit k, the next more significant bit, doubles
     # that block. The sweeps total about two passes over the state.
     state[0] = 1.0
     size = 1
     for k in range(n - 1, -1, -1):
-        np.multiply(state[:size], q1[k], out=state[size:2 * size])
-        state[:size] *= q0[k]
+        a0, _, a1, _ = columns.get(k, _IDENTITY)
+        np.multiply(state[:size], a1, out=state[size:2 * size])
+        state[:size] *= a0
         size *= 2
     if check_norm:
         _check_norm(state, f"the {prefix}-gate prefix")
 
     psi = state.reshape((2,) * n)
-    scratch = work[1 << n:].reshape(2, -1)
-    if n < FUSE_MIN_QUBITS:
-        _gate_by_gate(psi, template, angles, prefix, len(template), scratch, check_norm)
-        return state
+    rows = scratch.reshape(2, -1)
     # rx/rz have no control, so grouping the gates by control splits them
     # into maximal same-control crx runs and stretches of rx/rz.
     for control, run in itertools.groupby(range(prefix, len(template)),
                                           lambda i: template[i][2]):
         first = next(run)
         stop = max(run, default=first) + 1
+        matrices = _fold(template[first:stop], angles[first:stop], control)
         if control is None:
-            _gate_by_gate(psi, template, angles, first, stop, scratch, check_norm)
+            out = _rotate(matrices, state, scratch, n)
+            if out is not state:
+                np.copyto(state, out)
         else:
-            _fused_crx_run(psi, control, template[first:stop], angles[first:stop], scratch)
-            if check_norm:
-                _check_norm(state, f"gates {first}..{stop - 1} (crx run)")
+            half = psi[(slice(None),) * control + (1,)]
+            np.copyto(rows[0].reshape(half.shape), half)
+            out = _rotate(matrices, rows[0], rows[1], n - 1)
+            np.copyto(half, out.reshape(half.shape))
+        if check_norm:
+            _check_norm(state, f"gates {first}..{stop - 1}")
     return state
 
 
-def _gate_by_gate(psi: np.ndarray, template, angles, start: int, stop: int,
-                  scratch: np.ndarray, check_norm: bool) -> None:
-    # Gates start..stop-1, each in place on its target's halves. An rx fills
-    # both scratch rows, a crx (a quarter of the state) their first halves.
-    # All arithmetic lands in the state or the scratch, no temporaries.
-    n = psi.ndim
-    half = tuple(scratch.reshape((2,) * n))
-    quarter = (half[0][0, ...], half[1][0, ...]) if n > 1 else half
-    for i, ((kind, target, control), angle) in enumerate(
-            zip(template[start:stop], angles[start:stop]), start):
-        lo, hi = _halves(n, kind, target, control)
-        a0 = psi[lo]
-        a1 = psi[hi]
+_IDENTITY = (1.0, 0.0, 0.0, 1.0)
+
+
+def _fold(run, angles, control: int | None) -> dict[int, tuple]:
+    # The run's gates commute across targets: on its block (the control = 1
+    # half for crx, whose axes skip the control) they act as one 2x2 matrix
+    # (m00, m01, m10, m11) per axis, a repeated target's gates multiplied in
+    # gate order. Folded in scalar arithmetic: one np.array per gate made an
+    # n=4 hash slower than applying the gates one by one.
+    matrices: dict[int, tuple] = {}
+    for (kind, target, _), angle in zip(run, angles):
+        axis = target if control is None else target - (target > control)
+        a, b, c, d = matrices.get(axis, _IDENTITY)
         if kind == RZ:
-            a0 *= cmath.exp(-0.5j * angle)
-            a1 *= cmath.exp(0.5j * angle)
-        else:
-            # rx is diagonal in the |+>, |-> basis: rotate the sum and the
-            # difference of the halves by opposite phases, then map back.
-            s, t = half if kind == RX else quarter
-            np.add(a0, a1, out=s)
-            np.subtract(a0, a1, out=t)
-            s *= 0.5 * cmath.exp(-0.5j * angle)
-            t *= 0.5 * cmath.exp(0.5j * angle)
-            np.add(s, t, out=a0)
-            np.subtract(s, t, out=a1)
-        if check_norm:
-            _check_norm(psi, f"gate {i} ({kind})")
+            lo, hi = cmath.exp(-0.5j * angle), cmath.exp(0.5j * angle)
+            matrices[axis] = (lo * a, lo * b, hi * c, hi * d)
+        else:  # rx, or a crx's rx on the control = 1 half
+            co, ms = math.cos(0.5 * angle), -1j * math.sin(0.5 * angle)
+            matrices[axis] = (co * a + ms * c, co * b + ms * d, ms * a + co * c, ms * b + co * d)
+    return matrices
 
 
-def _fused_crx_run(psi: np.ndarray, control: int, run, angles, scratch: np.ndarray) -> None:
-    # The run's gates commute: on the control = 1 half they act as one rx
-    # rotation per target, a repeated target's rotations multiplied in gate
-    # order. That half is copied into a scratch row, rotated there one
-    # group of adjacent target axes at a time, alternating between the two
-    # rows, and copied back.
-    rotations: dict[int, np.ndarray] = {}  # axis of the half -> 2x2 matrix
-    for (_, target, _), angle in zip(run, angles):
-        c, ms = math.cos(0.5 * angle), -1j * math.sin(0.5 * angle)
-        rx = np.array(((c, ms), (ms, c)))
-        axis = target - (target > control)
-        rotations[axis] = rx @ rotations[axis] if axis in rotations else rx
-    half = psi[(slice(None),) * control + (1,)]
-    src, dst = scratch
-    np.copyto(src.reshape(half.shape), half)
-    for axes in _axis_groups(sorted(rotations)):
-        matrix = rotations[axes[0]]
-        for axis in axes[1:]:  # Kronecker product, without np.kron's overhead
-            dim = 2 * len(matrix)
-            matrix = (matrix[:, None, :, None] * rotations[axis][:, None, :]).reshape(dim, dim)
-        _rotate_axes(matrix, src, dst, axes[0], len(axes), half.ndim)
+def _rotate(matrices: dict[int, tuple], src: np.ndarray, dst: np.ndarray,
+            n_axes: int) -> np.ndarray:
+    # Applies each axis's matrix to the block in src, one group of adjacent
+    # axes at a time, alternating between src and dst; returns the one that
+    # holds the result.
+    for axes in _axis_groups(sorted(matrices)):
+        factors = np.array([matrices[axis] for axis in axes], dtype=np.complex128)
+        matrix = np.multiply.reduce(factors.ravel()[_KRON_INDEX[len(axes)]])
+        _rotate_axes(matrix, src, dst, axes[0], len(axes), n_axes)
         src, dst = dst, src
-    np.copyto(half, src.reshape(half.shape))
+    return src
+
+
+def _kron_index(count: int) -> np.ndarray:
+    # Picks the Kronecker product of ``count`` 2x2 factors out of their
+    # flattened entries: [l, r, c] indexes the entry of factor l at the
+    # bits of row r and column c that belong to its axis, so the product
+    # over l is the matrix, without np.kron's overhead.
+    bits = np.arange(1 << count) >> np.arange(count - 1, -1, -1)[:, None] & 1
+    return 4 * np.arange(count)[:, None, None] + 2 * bits[:, :, None] + bits[:, None, :]
+
+
+_KRON_INDEX = {count: _kron_index(count) for count in range(1, FUSE_AXES + 1)}
 
 
 def _axis_groups(axes: list[int]) -> list[list[int]]:

@@ -74,6 +74,16 @@ def test_wrong_angle_count_rejected():
         build_ansatz(np.zeros(63), 4)
 
 
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+def test_build_ansatz_rejects_non_finite_angles(angle):
+    # Unchecked, a NaN angle reads out as a NaN probability and an infinite
+    # one escapes simulate as a math domain error.
+    angles = random_angles()
+    angles[17] = angle
+    with pytest.raises(ValueError, match="finite"):
+        build_ansatz(angles, 2)
+
+
 def test_count_two_qubit_gates_empty():
     assert count_two_qubit_gates(Circuit(2, ())) == 0
 
