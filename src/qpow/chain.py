@@ -47,13 +47,6 @@ class MiningExhausted(RuntimeError):
         self.attempts = attempts
 
 
-class ExactBackend:
-    """Deterministic backend: the simulator's most-probable state."""
-
-    def outcome(self, state: np.ndarray, circuit: Circuit) -> str:
-        return most_probable_state(state).bits
-
-
 class NoisyBackend:
     """Backend whose answers degrade like noisy hardware.
 
@@ -69,11 +62,6 @@ class NoisyBackend:
         if cnots is None:
             cnots = float(count_two_qubit_gates(circuit))
         return noisy_outcome(state, self.params, cnots, self._rng)
-
-
-EXACT = ExactBackend()
-
-Backend = ExactBackend | NoisyBackend
 
 
 @dataclass(frozen=True)
@@ -149,17 +137,19 @@ class Proof:
     h2: bytes
 
 
-def prove(text: bytes, n_qubits: int, backend: Backend | None = None) -> Proof:
-    """The full proof pipeline: sha3 -> angles -> ansatz -> outcome -> sha3."""
-    backend = EXACT if backend is None else backend
+def prove(text: bytes, n_qubits: int, backend: NoisyBackend | None = None) -> Proof:
+    """The full proof pipeline: sha3 -> angles -> ansatz -> outcome -> sha3.
+
+    ``backend`` None is the exact backend: the simulator's most-probable state.
+    """
     h1 = sha3_256(text)
     circuit = build_ansatz(encode_angles(h1), n_qubits)
     state = simulate(circuit)
-    bits = backend.outcome(state, circuit)
+    bits = most_probable_state(state).bits if backend is None else backend.outcome(state, circuit)
     return Proof(h1, circuit, state, bits, sha3_256(h1 + pack_bits(bits)))
 
 
-def qpow_hash(text: bytes, n_qubits: int, backend: Backend | None = None) -> bytes:
+def qpow_hash(text: bytes, n_qubits: int, backend: NoisyBackend | None = None) -> bytes:
     """The proof hash h2 of ``text``."""
     return prove(text, n_qubits, backend).h2
 
@@ -194,7 +184,7 @@ def _scan_chunk(args: tuple) -> tuple[int, int, bytes] | None:
 
 
 def mine_block(prev: Block, payload: str, difficulty: int, n_qubits: int,
-               backend: Backend | None = None, seed: int = 0,
+               backend: NoisyBackend | None = None, seed: int = 0,
                max_attempts: int = DEFAULT_MAX_ATTEMPTS, jobs: int = 1) -> tuple[Block, int]:
     """Draw random nonces until the proof passes the difficulty test.
 
@@ -209,8 +199,7 @@ def mine_block(prev: Block, payload: str, difficulty: int, n_qubits: int,
         raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    backend = EXACT if backend is None else backend
-    if jobs > 1 and not isinstance(backend, ExactBackend):
+    if jobs > 1 and backend is not None:
         raise ValueError("parallel nonce search supports the exact backend only")
 
     n_chunks = (max_attempts + NONCE_CHUNK - 1) // NONCE_CHUNK
@@ -233,32 +222,61 @@ def mine_block(prev: Block, payload: str, difficulty: int, n_qubits: int,
     raise MiningExhausted(max_attempts)
 
 
-def _check_proof(block: Block, max_qubits: int) -> Verdict:
-    # Re-derive the recorded proof with the exact backend: one simulation,
-    # allocated only after n_qubits is known to be in range.
+def _judge(block: Block, prev: Block | None, n_qubits: int, max_qubits: int,
+           difficulty: int | None) -> str:
+    """The first rule ``block`` breaks, or "ok"; ``prev`` is None for the genesis.
+
+    The structural rules allocate nothing. Unless ``difficulty`` is None, the
+    proof is then re-derived with the exact backend: one simulation.
+    """
+    if prev is None:
+        if block.index != 0 or block.prev_hash != ZERO_HASH:
+            return "genesis-structure"
+    elif block.index != prev.index + 1:
+        return "index"
+    elif block.n_qubits != n_qubits:
+        return "n-qubits"
+    elif block.prev_hash != prev.pow_hash:
+        return "prev-hash"
     if not MIN_QUBITS <= block.n_qubits <= min(max_qubits, MAX_QUBITS):
-        return Verdict(block.index, False, "n-qubits")
+        return "n-qubits"
     if not 0 <= block.nonce < 1 << NONCE_BITS:
-        return Verdict(block.index, False, "nonce-range")
+        return "nonce-range"
+    if difficulty is None:
+        return "ok"
     text = serialize_text(block.nonce, block.payload, block.prev_hash)
-    ok = qpow_hash(text, block.n_qubits) == block.pow_hash
-    return Verdict(block.index, ok, "ok" if ok else "pow-hash")
+    if qpow_hash(text, block.n_qubits) != block.pow_hash:
+        return "pow-hash"
+    if prev is not None and not check_difficulty(block.pow_hash, difficulty):
+        return "difficulty"
+    return "ok"
+
+
+def _judge_chain(chain: list[Block], max_qubits: int, difficulty: int | None) -> list[str]:
+    if not chain:
+        raise ValueError("chain must be non-empty")
+    return [_judge(block, prev, chain[0].n_qubits, max_qubits, difficulty)
+            for prev, block in zip([None, *chain], chain)]
+
+
+def check_structure(chain: list[Block], max_qubits: int = MAX_QUBITS) -> list[str]:
+    """Per block, the first rule it breaks that needs no simulation, or "ok".
+
+    These are genesis-structure, index, n-qubits, prev-hash and nonce-range.
+    """
+    return _judge_chain(chain, max_qubits, None)
 
 
 def verify_block(block: Block, prev: Block, difficulty: int,
                  max_qubits: int = MAX_QUBITS) -> Verdict:
-    """Re-derive the proof with the exact backend; at most one simulation.
+    """Judge a mined block against its predecessor; at most one simulation.
 
-    The boolean verdict carries a reason code: prev-hash, n-qubits,
+    The boolean verdict carries a reason code: index, n-qubits, prev-hash,
     nonce-range, pow-hash, difficulty, or ok. A block over ``max_qubits``
     (or MAX_QUBITS) is judged n-qubits before anything is allocated.
     """
-    if block.prev_hash != prev.pow_hash:
-        return Verdict(block.index, False, "prev-hash")
-    verdict = _check_proof(block, max_qubits)
-    if verdict.ok and not check_difficulty(block.pow_hash, difficulty):
-        return Verdict(block.index, False, "difficulty")
-    return verdict
+    reason = _judge(block, prev, prev.n_qubits, max_qubits, difficulty)
+    return Verdict(block.index, reason == "ok", reason)
 
 
 def verify_chain(chain: list[Block], difficulty: int,
@@ -271,21 +289,9 @@ def verify_chain(chain: list[Block], difficulty: int,
     Every block must use the genesis's qubit count, and no simulation runs
     over ``max_qubits``, so a hostile file cannot demand a huge allocation.
     """
-    if not chain:
-        raise ValueError("chain must be non-empty")
-    genesis = chain[0]
-    if genesis.index != 0 or genesis.prev_hash != ZERO_HASH:
-        checks = [Verdict(genesis.index, False, "genesis-structure")]
-    else:
-        checks = [_check_proof(genesis, max_qubits)]
-    for prev, block in zip(chain, chain[1:]):
-        if block.index != prev.index + 1:
-            checks.append(Verdict(block.index, False, "index"))
-        elif block.n_qubits != genesis.n_qubits:
-            checks.append(Verdict(block.index, False, "n-qubits"))
-        else:
-            checks.append(verify_block(block, prev, difficulty, max_qubits))
-    return ChainVerification(all(c.ok for c in checks), tuple(checks))
+    reasons = _judge_chain(chain, max_qubits, difficulty)
+    checks = tuple(Verdict(b.index, r == "ok", r) for b, r in zip(chain, reasons))
+    return ChainVerification(all(checks), checks)
 
 
 # Chain file interchange: a JSON array of block objects with exactly these
@@ -352,8 +358,8 @@ def load_chain(path: str | os.PathLike) -> list[Block]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ChainFormatError(f"chain file is not valid JSON: {exc}") from exc
+        except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
+            raise ChainFormatError(f"chain file does not parse as JSON: {exc}") from exc
     if not isinstance(data, list) or not data:
         raise ChainFormatError("chain file must be a non-empty JSON array of blocks")
     return [block_from_dict(entry) for entry in data]

@@ -11,10 +11,10 @@ import sys
 import time
 
 from .analysis import (DEFAULT_MODEL, advantage_csv, bench_csv, bench_simulator,
-                       find_crossover, max_feasible_qubits)
+                       check_bench_feasible, find_crossover, max_feasible_qubits)
 from .chain import (DEFAULT_MAX_ATTEMPTS, ChainFormatError, MiningExhausted,
-                    NoisyBackend, load_chain, make_genesis, mine_block, prove,
-                    save_chain, verify_chain)
+                    NoisyBackend, check_structure, load_chain, make_genesis, mine_block,
+                    prove, save_chain, verify_chain)
 from .circuit import format_circuit
 from .hashing import nibbles
 from .noise import (PRESET_IDEAL, PRESET_TRANSPILED_QUITO, NoiseParams,
@@ -41,22 +41,20 @@ def _make_backend(args: argparse.Namespace, n_qubits: int) -> NoisyBackend | Non
     return NoisyBackend(NoiseParams(effective_cnots=cnots, seed=args.seed))
 
 
-def _require_consecutive(chain) -> None:
-    for i, block in enumerate(chain):
-        if block.index != i:
-            raise ChainFormatError(f"block indices not consecutive from 0 at position {i}")
-
-
 def cmd_mine(args: argparse.Namespace) -> int:
     if os.path.exists(args.chain):
         chain = load_chain(args.chain)
-        _require_consecutive(chain)
+        # Refuse to extend what verify would reject; proofs are left to verify.
+        for block, reason in zip(chain, check_structure(chain, max_feasible_qubits())):
+            if reason != "ok":
+                raise ChainFormatError(f"block {block.index}: {reason} in {args.chain}")
         n_qubits = chain[0].n_qubits
         if args.qubits not in (None, n_qubits):
             raise ValueError(f"--qubits {args.qubits} differs from the chain's "
                              f"{n_qubits} qubits in {args.chain}")
     else:
         n_qubits = DEFAULT_QUBITS if args.qubits is None else args.qubits
+        check_bench_feasible(n_qubits)
         chain = [make_genesis(n_qubits)]
         print(f"created genesis block ({n_qubits} qubits)")
     backend = _make_backend(args, n_qubits)

@@ -22,11 +22,6 @@ def check_digest(digest: bytes) -> bytes:
     return digest
 
 
-def hex_digest(digest: bytes) -> str:
-    """Lowercase 64-char hex rendering, shared by difficulty checks and chain files."""
-    return check_digest(digest).hex()
-
-
 def nibbles(digest: bytes) -> list[int]:
     """The 64 quads of a digest in hex-reading order: high nibble of byte 0 first."""
     check_digest(digest)

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qpow.chain as chain_mod
-from qpow.chain import (ZERO_HASH, Block, ChainFormatError, ExactBackend,
-                        MiningExhausted, NoisyBackend, block_from_dict,
-                        block_to_dict, check_difficulty, load_chain, make_genesis,
+from qpow.chain import (ZERO_HASH, Block, ChainFormatError, MiningExhausted,
+                        NoisyBackend, block_from_dict, block_to_dict,
+                        check_difficulty, check_structure, load_chain, make_genesis,
                         mine_block, pack_bits, prove, qpow_hash, save_chain,
                         serialize_text, verify_block, verify_chain)
 from qpow.circuit import CRX, Gate, ansatz_template, build_ansatz, count_two_qubit_gates
@@ -353,6 +353,27 @@ def test_verify_chain_bad_genesis_structure():
     assert result.checks[0].reason == "genesis-structure"
 
 
+def test_check_structure_runs_no_simulation(monkeypatch):
+    chain, short = mined_chain(4), mined_chain(1)
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("check_structure hashed or simulated")
+
+    monkeypatch.setattr(chain_mod, "qpow_hash", no_simulation)
+    monkeypatch.setattr(chain_mod, "simulate", no_simulation)
+    assert check_structure(chain) == ["ok"] * 5
+    chain[0] = dataclasses.replace(chain[0], prev_hash=chain[1].pow_hash)
+    chain[1] = dataclasses.replace(chain[1], nonce=-1)
+    chain[2] = dataclasses.replace(chain[2], n_qubits=3)
+    chain[3] = dataclasses.replace(chain[3], prev_hash=ZERO_HASH)
+    chain[4] = dataclasses.replace(chain[4], index=9)
+    assert check_structure(chain) == ["genesis-structure", "nonce-range", "n-qubits",
+                                      "prev-hash", "index"]
+    assert check_structure(short, max_qubits=1) == ["n-qubits"] * 2
+    with pytest.raises(ValueError):
+        check_structure([])
+
+
 def test_chain_file_round_trip(tmp_path):
     chain = mined_chain(2)
     path = tmp_path / "chain.json"
@@ -426,7 +447,7 @@ def test_load_chain_rejects_malformed(tmp_path):
 def test_noisy_backend_from_circuit_cnots():
     # With zero error rates the noisy backend collapses to the exact one.
     backend = NoisyBackend(NoiseParams(e_cnot=0.0, e_readout=0.0))
-    assert qpow_hash(b"agree", 4, backend) == qpow_hash(b"agree", 4, ExactBackend())
+    assert qpow_hash(b"agree", 4, backend) == qpow_hash(b"agree", 4)
 
 
 def test_genesis_re_derivable():

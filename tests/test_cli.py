@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qpow.analysis as analysis_mod
 import qpow.chain as chain_mod
 import qpow.cli as cli_mod
 from qpow.chain import load_chain, qpow_hash
@@ -61,6 +66,45 @@ def test_mine_rejects_qubits_that_differ_from_the_chain(tmp_path, capsys):
     assert code == 2
     assert "--qubits 3" in err and "attempts" not in out
     assert chain_path.read_bytes() == before
+
+
+@pytest.mark.parametrize("position, field, value, named, reason", [
+    (0, "prev_hash", "11" * 32, 0, "genesis-structure"),
+    (2, "index", 7, 7, "index"),
+    (2, "prev_hash", "00" * 32, 2, "prev-hash"),
+    (2, "n_qubits", 3, 2, "n-qubits"),
+    (1, "nonce", -1, 1, "nonce-range"),
+])
+def test_mine_refuses_a_chain_that_breaks_a_structural_rule(
+        tmp_path, capsys, position, field, value, named, reason):
+    chain_path = tmp_path / "chain.json"
+    assert run(capsys, "mine", "--chain", str(chain_path), "--blocks", "2", "--qubits", "2")[0] == 0
+    data = json.loads(chain_path.read_text())
+    data[position][field] = value
+    chain_path.write_text(json.dumps(data))
+    before = chain_path.read_bytes()
+
+    code, out, err = run(capsys, "mine", "--chain", str(chain_path), "--blocks", "1")
+    assert code == 2
+    assert f"block {named}: {reason}" in err and "attempts" not in out
+    assert chain_path.read_bytes() == before
+    assert f"block {named}: {reason}" in run(capsys, "verify", "--chain", str(chain_path))[2]
+
+
+def test_mine_new_chain_over_the_memory_limit_is_refused_before_simulating(
+        tmp_path, capsys, monkeypatch):
+    chain_path = tmp_path / "chain.json"
+    monkeypatch.setattr(analysis_mod, "max_feasible_qubits", lambda: 2)
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("a genesis over the limit was simulated")
+
+    monkeypatch.setattr(chain_mod, "simulate", no_simulation)
+    code, out, err = run(capsys, "mine", "--chain", str(chain_path), "--blocks", "1",
+                         "--qubits", "3")
+    assert code == 2
+    assert "memory" in err and "created genesis" not in out
+    assert not chain_path.exists()
 
 
 def test_mine_zero_blocks_writes_genesis_only(tmp_path, capsys):
@@ -167,6 +211,95 @@ def test_verify_malformed_json_is_io_error(tmp_path, capsys):
     path.write_text("[{]")
     code, _, err = run(capsys, "verify", "--chain", str(path))
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["verify", "mine"])
+def test_deeply_nested_json_is_a_format_error(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    code, _, err = run(capsys, command, "--chain", str(path))
+    assert code == 2
+    assert "JSON" in err
+    assert path.read_text() == "[" * 100_000
+
+
+STRUCTURAL_REASONS = ("genesis-structure", "index", "n-qubits", "prev-hash", "nonce-range")
+_WRONG_TYPES = [None, True, 1.5, "2", [], {}]
+_INTS = [-1, 0, 1, 2, 3, (1 << 32) - 1, 1 << 32, 1 << 40]
+_HEX = ["zz" * 32, "00" * 31, "0" * 63, "00" * 32, "AB" * 32]  # bad, short, odd, zero, upper
+FIELD_VALUES = {
+    "index": _INTS,
+    "timestamp": _INTS,
+    "nonce": _INTS,
+    # Small enough that no example allocates a large state.
+    "n_qubits": [-1, 0, 1, 2, 3, 5, 31, 2**40],
+    "payload": ["", "tx 9", "\ud800"],
+    "prev_hash": _HEX,
+    "pow_hash": _HEX,
+}
+
+
+@pytest.fixture(scope="module")
+def valid_chain_text(tmp_path_factory):
+    path = tmp_path_factory.mktemp("valid") / "chain.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["mine", "--chain", str(path), "--blocks", "3", "--qubits", "3"]) == 0
+    return path.read_text()
+
+
+def _mutate(text, data):
+    blocks = json.loads(text)
+    kind = data.draw(st.sampled_from(["field", "drop", "add", "swap", "truncate"]))
+    if kind == "truncate":
+        return text[:data.draw(st.integers(0, len(text) - 1))]
+    i = data.draw(st.integers(0, len(blocks) - 1))
+    if kind == "field":
+        field = data.draw(st.sampled_from(sorted(FIELD_VALUES)))
+        blocks[i][field] = data.draw(st.sampled_from(FIELD_VALUES[field] + _WRONG_TYPES))
+    elif kind == "drop":
+        del blocks[i]
+    elif kind == "add":
+        blocks.insert(data.draw(st.integers(0, len(blocks))), dict(blocks[i]))
+    else:
+        j = data.draw(st.integers(0, len(blocks) - 1))
+        blocks[i], blocks[j] = blocks[j], blocks[i]
+    return json.dumps(blocks)
+
+
+def _hashed_blocks(text):
+    # What a verdict depends on: everything but the unhashed timestamps.
+    try:
+        return [{k: v for k, v in b.items() if k != "timestamp"} for b in json.loads(text)]
+    except ValueError:
+        return None
+
+
+def _quiet_main(*argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, err.getvalue()
+
+
+@settings(derandomize=True, deadline=None)
+@given(data=st.data())
+def test_mutated_chain_files_get_a_verdict_and_mine_only_extends_sound_structure(
+        valid_chain_text, tmp_path_factory, data):
+    mutant = _mutate(valid_chain_text, data)
+    path = str(tmp_path_factory.getbasetemp() / "mutant.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(mutant)
+
+    # Only a mutant that is still a prefix of the valid chain, up to
+    # timestamps, may verify.
+    blocks = _hashed_blocks(mutant)
+    prefix = blocks is not None and blocks == _hashed_blocks(valid_chain_text)[:len(blocks)]
+    code, _ = _quiet_main("verify", "--chain", path)
+    assert code in (1, 2) or (code == 0 and prefix)
+    if _quiet_main("mine", "--chain", path, "--blocks", "0")[0] == 0:
+        code, err = _quiet_main("verify", "--chain", path)
+        assert code in (0, 1)
+        assert not any(f": {reason}" in err for reason in STRUCTURAL_REASONS)
 
 
 def test_noisy_mine_then_verify_reports_fraction(tmp_path, capsys):

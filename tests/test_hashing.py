@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qpow.hashing import ANGLE_STEP, encode_angles, hex_digest, nibbles, sha3_256
+from qpow.hashing import ANGLE_STEP, encode_angles, nibbles, sha3_256
 
 from oracles import nibbles_by_bitstring
 
@@ -36,17 +36,10 @@ def test_sha3_deterministic():
 def test_sha3_digest_shape():
     digest = sha3_256(b"x")
     assert len(digest) == 32
-    assert len(hex_digest(digest)) == 64
-    assert hex_digest(digest) == hex_digest(digest).lower()
 
 
 def test_known_example_first_stage_reproduces():
     assert sha3_256(KNOWN_EXAMPLE_TEXT.encode("utf-8")).hex() == KNOWN_EXAMPLE_H1
-
-
-def test_hex_digest_rejects_wrong_length():
-    with pytest.raises(ValueError):
-        hex_digest(b"\x00" * 31)
 
 
 def test_encode_angles_zero_digest():
