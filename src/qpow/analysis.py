@@ -128,21 +128,19 @@ def available_memory_bytes() -> int:
     return 8 << 30  # assume 8 GiB when the platform gives no answer
 
 
-def max_feasible_qubits(safety: float = 4.0) -> int:
-    """Largest n whose statevector, with working copies, fits in available memory."""
-    budget = available_memory_bytes() / safety
-    n = 1
-    while BYTES_PER_AMPLITUDE * (1 << (n + 1)) <= budget:
-        n += 1
-    return n
+def max_feasible_qubits() -> int:
+    """Largest n >= 1 whose 2^(n+1)-amplitude block from ``simulate`` (the state
+    and its scratch) fits in half of available memory."""
+    return max(1, (available_memory_bytes() // (4 * BYTES_PER_AMPLITUDE)).bit_length() - 1)
 
 
 def check_bench_feasible(n: int) -> None:
+    """Raise ValueError unless this host can simulate n qubits; allocates nothing."""
     limit = max_feasible_qubits()
     if n > limit:
         raise ValueError(
-            f"n={n} needs ~{BYTES_PER_AMPLITUDE * (1 << n) / 2**30:.1f} GiB of amplitudes; "
-            f"at most n={limit} fits in available memory")
+            f"n={n} needs a block of 2^{n + 1} amplitudes of {BYTES_PER_AMPLITUDE} bytes; "
+            f"at most n={limit} fits in half of available memory")
 
 
 def bench_simulator(n_values: list[int], reps: int = 3, seed: int = 0,

@@ -222,8 +222,7 @@ def mine_block(prev: Block, payload: str, difficulty: int, n_qubits: int,
     raise MiningExhausted(max_attempts)
 
 
-def _judge(block: Block, prev: Block | None, n_qubits: int, max_qubits: int,
-           difficulty: int | None) -> str:
+def _judge(block: Block, prev: Block | None, n_qubits: int, difficulty: int | None) -> str:
     """The first rule ``block`` breaks, or "ok"; ``prev`` is None for the genesis.
 
     The structural rules allocate nothing. Unless ``difficulty`` is None, the
@@ -238,7 +237,7 @@ def _judge(block: Block, prev: Block | None, n_qubits: int, max_qubits: int,
         return "n-qubits"
     elif block.prev_hash != prev.pow_hash:
         return "prev-hash"
-    if not MIN_QUBITS <= block.n_qubits <= min(max_qubits, MAX_QUBITS):
+    if not MIN_QUBITS <= block.n_qubits <= MAX_QUBITS:
         return "n-qubits"
     if not 0 <= block.nonce < 1 << NONCE_BITS:
         return "nonce-range"
@@ -252,44 +251,42 @@ def _judge(block: Block, prev: Block | None, n_qubits: int, max_qubits: int,
     return "ok"
 
 
-def _judge_chain(chain: list[Block], max_qubits: int, difficulty: int | None) -> list[str]:
+def _judge_chain(chain: list[Block], difficulty: int | None) -> list[str]:
     if not chain:
         raise ValueError("chain must be non-empty")
-    return [_judge(block, prev, chain[0].n_qubits, max_qubits, difficulty)
+    return [_judge(block, prev, chain[0].n_qubits, difficulty)
             for prev, block in zip([None, *chain], chain)]
 
 
-def check_structure(chain: list[Block], max_qubits: int = MAX_QUBITS) -> list[str]:
+def check_structure(chain: list[Block]) -> list[str]:
     """Per block, the first rule it breaks that needs no simulation, or "ok".
 
     These are genesis-structure, index, n-qubits, prev-hash and nonce-range.
     """
-    return _judge_chain(chain, max_qubits, None)
+    return _judge_chain(chain, None)
 
 
-def verify_block(block: Block, prev: Block, difficulty: int,
-                 max_qubits: int = MAX_QUBITS) -> Verdict:
+def verify_block(block: Block, prev: Block, difficulty: int) -> Verdict:
     """Judge a mined block against its predecessor; at most one simulation.
 
     The boolean verdict carries a reason code: index, n-qubits, prev-hash,
-    nonce-range, pow-hash, difficulty, or ok. A block over ``max_qubits``
-    (or MAX_QUBITS) is judged n-qubits before anything is allocated.
+    nonce-range, pow-hash, difficulty, or ok. A block outside
+    [MIN_QUBITS, MAX_QUBITS] is judged n-qubits before anything is allocated.
     """
-    reason = _judge(block, prev, prev.n_qubits, max_qubits, difficulty)
+    reason = _judge(block, prev, prev.n_qubits, difficulty)
     return Verdict(block.index, reason == "ok", reason)
 
 
-def verify_chain(chain: list[Block], difficulty: int,
-                 max_qubits: int = MAX_QUBITS) -> ChainVerification:
+def verify_chain(chain: list[Block], difficulty: int) -> ChainVerification:
     """Check the genesis structure and every adjacent pair of blocks.
 
     Each mined block is judged independently against its stored predecessor,
     so one bad block does not mask the verdicts of the blocks after it.
     The genesis is held to structure and proof re-derivation, not difficulty.
-    Every block must use the genesis's qubit count, and no simulation runs
-    over ``max_qubits``, so a hostile file cannot demand a huge allocation.
+    Every block must use the genesis's qubit count, in [MIN_QUBITS, MAX_QUBITS];
+    verdicts never depend on the host, whose memory the caller checks first.
     """
-    reasons = _judge_chain(chain, max_qubits, difficulty)
+    reasons = _judge_chain(chain, difficulty)
     checks = tuple(Verdict(b.index, r == "ok", r) for b, r in zip(chain, reasons))
     return ChainVerification(all(checks), checks)
 

@@ -1,7 +1,7 @@
 """Command-line front end: mine, verify, hash, bench, and advantage workflows.
 
 Exit codes are a stable scripting contract: 0 success, 1 mining or
-verification failure, 2 usage or IO error.
+verification failure, 2 usage or IO error or a state too big for this host.
 """
 from __future__ import annotations
 
@@ -11,11 +11,11 @@ import sys
 import time
 
 from .analysis import (DEFAULT_MODEL, advantage_csv, bench_csv, bench_simulator,
-                       check_bench_feasible, find_crossover, max_feasible_qubits)
+                       check_bench_feasible, find_crossover)
 from .chain import (DEFAULT_MAX_ATTEMPTS, ChainFormatError, MiningExhausted,
                     NoisyBackend, check_structure, load_chain, make_genesis, mine_block,
                     prove, save_chain, verify_chain)
-from .circuit import format_circuit
+from .circuit import MAX_QUBITS, MIN_QUBITS, format_circuit
 from .hashing import nibbles
 from .noise import (PRESET_IDEAL, PRESET_TRANSPILED_QUITO, NoiseParams,
                     preset_cnots)
@@ -42,10 +42,11 @@ def _make_backend(args: argparse.Namespace, n_qubits: int) -> NoisyBackend | Non
 
 
 def cmd_mine(args: argparse.Namespace) -> int:
-    if os.path.exists(args.chain):
+    existing = os.path.exists(args.chain)
+    if existing:
         chain = load_chain(args.chain)
         # Refuse to extend what verify would reject; proofs are left to verify.
-        for block, reason in zip(chain, check_structure(chain, max_feasible_qubits())):
+        for block, reason in zip(chain, check_structure(chain)):
             if reason != "ok":
                 raise ChainFormatError(f"block {block.index}: {reason} in {args.chain}")
         n_qubits = chain[0].n_qubits
@@ -54,7 +55,8 @@ def cmd_mine(args: argparse.Namespace) -> int:
                              f"{n_qubits} qubits in {args.chain}")
     else:
         n_qubits = DEFAULT_QUBITS if args.qubits is None else args.qubits
-        check_bench_feasible(n_qubits)
+    check_bench_feasible(n_qubits)
+    if not existing:
         chain = [make_genesis(n_qubits)]
         print(f"created genesis block ({n_qubits} qubits)")
     backend = _make_backend(args, n_qubits)
@@ -69,16 +71,17 @@ def cmd_mine(args: argparse.Namespace) -> int:
         chain.append(block)
         print(f"block {block.index}: nonce {block.nonce} after {attempts} attempts "
               f"in {elapsed:.2f}s -> {block.pow_hash.hex()}")
-    save_chain(chain, args.chain)
-    print(f"wrote {len(chain)} blocks to {args.chain}")
+    if args.blocks > 0 or not existing:  # an existing chain is rewritten only if extended
+        save_chain(chain, args.chain)
+        print(f"wrote {len(chain)} blocks to {args.chain}")
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    # The file is untrusted: judge a block whose statevector would not fit
-    # in available memory as n-qubits instead of allocating it.
-    result = verify_chain(load_chain(args.chain), args.difficulty,
-                          max_qubits=max_feasible_qubits())
+    chain = load_chain(args.chain)
+    if MIN_QUBITS <= chain[0].n_qubits <= MAX_QUBITS:  # the only count ever simulated
+        check_bench_feasible(chain[0].n_qubits)
+    result = verify_chain(chain, args.difficulty)
     mined = [c for c in result.checks if c.index > 0]
     if mined:
         print(f"{sum(c.ok for c in mined)}/{len(mined)} mined blocks pass "
@@ -93,6 +96,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_hash(args: argparse.Namespace) -> int:
+    check_bench_feasible(args.qubits)
     proof = prove(args.text.encode("utf-8"), args.qubits)
     probability = probabilities(proof.state)[int(proof.bits, 2)]
     print(f"h1: {proof.h1.hex()}")

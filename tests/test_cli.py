@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -117,6 +118,17 @@ def test_mine_zero_blocks_writes_genesis_only(tmp_path, capsys):
     assert chain[0].nonce == 0
 
 
+def test_mine_zero_blocks_leaves_an_existing_chain_untouched(tmp_path, capsys):
+    chain_path = tmp_path / "chain.json"
+    assert run(capsys, "mine", "--chain", str(chain_path), "--blocks", "2", "--qubits", "3")[0] == 0
+    chain_path.write_text(json.dumps(json.loads(chain_path.read_text())))
+    before = chain_path.read_bytes()
+    code, out, _ = run(capsys, "mine", "--chain", str(chain_path), "--blocks", "0")
+    assert code == 0
+    assert "wrote" not in out
+    assert chain_path.read_bytes() == before
+
+
 def test_mine_deterministic_under_seed(tmp_path, capsys):
     paths = [str(tmp_path / f"chain{i}.json") for i in (0, 1)]
     for path in paths:
@@ -148,9 +160,9 @@ def test_mining_failure_exit_code(tmp_path, capsys):
 def test_verify_detects_tampering(tmp_path, capsys):
     chain_path = str(tmp_path / "chain.json")
     run(capsys, "mine", "--chain", chain_path, "--blocks", "2", "--qubits", "2")
-    data = json.loads(open(chain_path).read())
+    data = json.loads(Path(chain_path).read_text())
     data[1]["payload"] = "rewritten history"
-    open(chain_path, "w").write(json.dumps(data))
+    Path(chain_path).write_text(json.dumps(data))
 
     code, _, err = run(capsys, "verify", "--chain", chain_path)
     assert code == 1
@@ -161,9 +173,9 @@ def test_verify_detects_tampering(tmp_path, capsys):
 def test_verify_reports_out_of_range_nonce_per_block(tmp_path, capsys):
     chain_path = str(tmp_path / "chain.json")
     run(capsys, "mine", "--chain", chain_path, "--blocks", "3", "--qubits", "2")
-    data = json.loads(open(chain_path).read())
+    data = json.loads(Path(chain_path).read_text())
     data[1]["nonce"] = 1 << 40
-    open(chain_path, "w").write(json.dumps(data))
+    Path(chain_path).write_text(json.dumps(data))
 
     code, out, err = run(capsys, "verify", "--chain", chain_path)
     assert code == 1
@@ -175,29 +187,58 @@ def test_verify_reports_out_of_range_nonce_per_block(tmp_path, capsys):
 def test_verify_reports_bad_qubit_count_per_block(tmp_path, capsys, position, n_qubits):
     chain_path = str(tmp_path / "chain.json")
     run(capsys, "mine", "--chain", chain_path, "--blocks", "3", "--qubits", "2")
-    data = json.loads(open(chain_path).read())
+    data = json.loads(Path(chain_path).read_text())
     data[position]["n_qubits"] = n_qubits
-    open(chain_path, "w").write(json.dumps(data))
+    Path(chain_path).write_text(json.dumps(data))
 
     code, out, err = run(capsys, "verify", "--chain", chain_path)
     assert code == 1
     assert f"block {position}: n-qubits" in err
 
 
-def test_verify_judges_blocks_over_the_memory_limit_before_simulating(
-        tmp_path, capsys, monkeypatch):
-    chain_path = str(tmp_path / "chain.json")
-    run(capsys, "mine", "--chain", chain_path, "--blocks", "2", "--qubits", "3")
-    monkeypatch.setattr(cli_mod, "max_feasible_qubits", lambda: 2)
+def _no_simulation(*args, **kwargs):
+    raise AssertionError("a state over the memory limit was simulated")
 
-    def no_simulation(*args):
-        raise AssertionError("a block over the limit was simulated")
 
-    monkeypatch.setattr(chain_mod, "qpow_hash", no_simulation)
-    code, out, err = run(capsys, "verify", "--chain", chain_path)
-    assert code == 1
-    assert "0/2 mined blocks pass" in out
-    assert "block 0: n-qubits" in err
+@pytest.fixture
+def n3_chain(tmp_path, capsys):
+    chain_path = tmp_path / "chain.json"
+    assert run(capsys, "mine", "--chain", str(chain_path), "--blocks", "2", "--qubits", "3")[0] == 0
+    return chain_path
+
+
+def test_verify_refuses_a_chain_over_the_memory_limit_before_simulating(
+        n3_chain, capsys, monkeypatch):
+    monkeypatch.setattr(analysis_mod, "max_feasible_qubits", lambda: 2)
+    monkeypatch.setattr(chain_mod, "qpow_hash", _no_simulation)
+    code, out, err = run(capsys, "verify", "--chain", str(n3_chain))
+    assert code == 2
+    assert "memory" in err and "verification failed" not in err
+    assert "mined blocks pass" not in out
+
+    monkeypatch.undo()
+    code, out, _ = run(capsys, "verify", "--chain", str(n3_chain))
+    assert code == 0
+    assert "2/2 mined blocks pass" in out
+
+
+def test_mine_refuses_an_existing_chain_over_the_memory_limit_before_simulating(
+        n3_chain, capsys, monkeypatch):
+    before = n3_chain.read_bytes()
+    monkeypatch.setattr(analysis_mod, "max_feasible_qubits", lambda: 2)
+    monkeypatch.setattr(chain_mod, "simulate", _no_simulation)
+    code, out, err = run(capsys, "mine", "--chain", str(n3_chain), "--blocks", "1")
+    assert code == 2
+    assert "memory" in err and "attempts" not in out
+    assert n3_chain.read_bytes() == before
+
+
+def test_hash_refuses_qubits_over_the_memory_limit_before_simulating(capsys, monkeypatch):
+    monkeypatch.setattr(analysis_mod, "max_feasible_qubits", lambda: 2)
+    monkeypatch.setattr(chain_mod, "simulate", _no_simulation)
+    code, out, err = run(capsys, "hash", "x", "--qubits", "3")
+    assert code == 2
+    assert "memory" in err and out == ""
 
 
 def test_verify_missing_file_is_io_error(tmp_path, capsys):
