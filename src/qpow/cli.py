@@ -12,14 +12,14 @@ import time
 
 from .analysis import (DEFAULT_MODEL, advantage_csv, bench_csv, bench_simulator,
                        check_bench_feasible, find_crossover)
-from .chain import (DEFAULT_MAX_ATTEMPTS, ChainFormatError, MiningExhausted,
+from .chain import (DEFAULT_MAX_ATTEMPTS, Block, ChainFormatError, MiningExhausted,
                     NoisyBackend, check_structure, load_chain, make_genesis, mine_block,
                     prove, save_chain, verify_chain)
 from .circuit import MAX_QUBITS, MIN_QUBITS, format_circuit
 from .hashing import nibbles
 from .noise import (PRESET_IDEAL, PRESET_TRANSPILED_QUITO, NoiseParams,
                     preset_cnots)
-from .simulator import histogram_csv, probabilities, sample_counts
+from .simulator import histogram_csv, sample_counts
 
 # Fixed so demo runs reproduce; override with --seed.
 DEFAULT_SEED = 42
@@ -60,21 +60,31 @@ def cmd_mine(args: argparse.Namespace) -> int:
         chain = [make_genesis(n_qubits)]
         print(f"created genesis block ({n_qubits} qubits)")
     backend = _make_backend(args, n_qubits)
-    for _ in range(args.blocks):
-        prev = chain[-1]
-        start = time.perf_counter()
-        block, attempts = mine_block(
-            prev, f"tx {prev.index + 1}", args.difficulty, n_qubits,
-            backend=backend, seed=args.seed + prev.index + 1,
-            max_attempts=args.max_attempts, jobs=args.jobs)
-        elapsed = time.perf_counter() - start
-        chain.append(block)
-        print(f"block {block.index}: nonce {block.nonce} after {attempts} attempts "
-              f"in {elapsed:.2f}s -> {block.pow_hash.hex()}")
+    before = len(chain)
+    try:
+        for _ in range(args.blocks):
+            prev = chain[-1]
+            start = time.perf_counter()
+            block, attempts = mine_block(
+                prev, f"tx {prev.index + 1}", args.difficulty, n_qubits,
+                backend=backend, seed=args.seed + prev.index + 1,
+                max_attempts=args.max_attempts, jobs=args.jobs)
+            elapsed = time.perf_counter() - start
+            chain.append(block)
+            print(f"block {block.index}: nonce {block.nonce} after {attempts} attempts "
+                  f"in {elapsed:.2f}s -> {block.pow_hash.hex()}")
+    except MiningExhausted:
+        if len(chain) > before:  # keep the blocks this run did mine
+            _save(chain, args.chain)
+        raise
     if args.blocks > 0 or not existing:  # an existing chain is rewritten only if extended
-        save_chain(chain, args.chain)
-        print(f"wrote {len(chain)} blocks to {args.chain}")
+        _save(chain, args.chain)
     return 0
+
+
+def _save(chain: list[Block], path: str) -> None:
+    save_chain(chain, path)
+    print(f"wrote {len(chain)} blocks to {path}")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -98,7 +108,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_hash(args: argparse.Namespace) -> int:
     check_bench_feasible(args.qubits)
     proof = prove(args.text.encode("utf-8"), args.qubits)
-    probability = probabilities(proof.state)[int(proof.bits, 2)]
+    amp = proof.state[int(proof.bits, 2)]
+    probability = amp.real * amp.real + amp.imag * amp.imag
     print(f"h1: {proof.h1.hex()}")
     print("angles (pi/8 units): " + " ".join(str(k) for k in nibbles(proof.h1)))
     print(f"outcome: {proof.bits} (p = {probability:.6f})")

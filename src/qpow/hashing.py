@@ -9,6 +9,8 @@ import numpy as np
 DIGEST_SIZE = 32
 N_ANGLES = 64
 ANGLE_STEP = math.pi / 8  # 16 angle levels, one per 4-bit quad
+# The angles of each byte value's two quads, high nibble first.
+_BYTE_ANGLES = (np.arange(256)[:, None] >> np.array([4, 0]) & 0x0F) * ANGLE_STEP
 
 
 def sha3_256(data: bytes) -> bytes:
@@ -38,4 +40,4 @@ def encode_angles(digest: bytes) -> np.ndarray:
     Quad k of the digest, read as an unsigned 4-bit integer, becomes the
     angle k*pi/8, so every angle lies on the 16-level grid [0, 15*pi/8].
     """
-    return np.array(nibbles(digest), dtype=np.float64) * ANGLE_STEP
+    return _BYTE_ANGLES[np.frombuffer(check_digest(digest), dtype=np.uint8)].reshape(-1)

@@ -10,15 +10,22 @@ Every circuit, of any size, runs through one kernel. Its gates are split into
 maximal runs of consecutive gates that share a control field: stretches of
 rx/rz (no control) and runs of crx gates with one control. A run acts on a
 block of the state as one 2x2 matrix per axis, a repeated target's gates
-multiplied in gate order in scalar arithmetic: on the whole state for rx/rz,
-on the control = 1 half for crx. The rx/rz gates before the first crx act on
-|0...0>, so their matrices' first columns give a product state, written into
-the amplitude array in one sweep. Every later run rotates adjacent axes of
-its block together by one Kronecker matrix of up to 16x16 through tiled
-matrix products, alternating between the block and a scratch buffer of its
-size; a crx run's half is copied into the scratch and back. The state and
-its 2^n scratch buffer are one allocation of 2^(n+1) amplitudes; the
-returned state is a view of its first half.
+multiplied in gate order: on the whole state for rx/rz, on the control = 1
+half for crx. The rx/rz gates before the first crx act on |0...0>, so their
+matrices' first columns give a product state, written into the amplitude
+array in one sweep. Every later run rotates adjacent axes of its block
+together by one Kronecker matrix of up to 16x16 through tiled matrix
+products, alternating between the block and a scratch buffer of its size; a
+crx run's half is copied into the scratch and back. The state and its 2^n
+scratch buffer are one allocation of 2^(n+1) amplitudes; the returned state
+is a view of its first half.
+
+How a template splits into runs, axis groups and product shapes depends
+only on its (kind, target, control) triples, so it is planned once per
+template (`_plan`, a bounded cache). Per circuit, every gate's 2x2 matrix,
+every per-axis fold and every Kronecker matrix of one size come from a few
+array operations over all of its angles at once; the run loop only applies
+them.
 
 This order of arithmetic gives amplitudes that differ in the last bits (up
 to about 1e-15) from a gate-by-gate simulation over the full state; the
@@ -26,14 +33,13 @@ readout's TIE_TOL makes the outcome, and so h2, the same for both.
 """
 from __future__ import annotations
 
-import cmath
+import functools
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import CRX, RZ, Circuit
+from .circuit import CRX, RZ, Circuit, Slot
 
 NORM_TOL = 1e-10
 # Probabilities within this relative gap of the maximum count as tied. In
@@ -46,6 +52,9 @@ FUSE_AXES = 4
 TILE_MACS = 1 << 14
 # Probabilities per readout chunk.
 READOUT_CHUNK = 1 << 16
+# Templates whose plans are kept: more than the 29 ansatz templates, so that
+# those stay cached, while hand-built circuits cannot grow the cache.
+PLAN_CACHE = 64
 
 
 @dataclass(frozen=True)
@@ -78,10 +87,8 @@ def simulate(circuit: Circuit, check_norm: bool = False) -> np.ndarray:
     that the L2 norm stayed within 1e-10 of 1; violations raise RuntimeError.
     """
     n = circuit.n_qubits
-    template, angles = circuit.template, circuit.angles
-    prefix = next((i for i, (kind, _, _) in enumerate(template) if kind == CRX), len(template))
-    # Column 0 of each qubit's matrix: its (|0>, |1>) amplitudes after the prefix.
-    columns = _fold(template[:prefix], angles[:prefix], None)
+    plan = _plan(circuit.template, n)
+    columns, krons = plan.matrices(circuit.angles)
     # One block: the state, then a scratch buffer of the same size. From
     # n = 20 on it exceeds the 32 MiB ceiling of glibc's mmap threshold, so
     # every call maps and unmaps it instead of leaving part of it in the heap.
@@ -92,82 +99,175 @@ def simulate(circuit: Circuit, check_norm: bool = False) -> np.ndarray:
     # that block. The sweeps total about two passes over the state.
     state[0] = 1.0
     size = 1
-    for k in range(n - 1, -1, -1):
-        a0, _, a1, _ = columns.get(k, _IDENTITY)
+    for a0, a1 in columns:  # qubits n-1 .. 0
         np.multiply(state[:size], a1, out=state[size:2 * size])
         state[:size] *= a0
         size *= 2
     if check_norm:
-        _check_norm(state, f"the {prefix}-gate prefix")
+        _check_norm(state, f"the {plan.prefix}-gate prefix")
 
-    psi = state.reshape((2,) * n)
     rows = scratch.reshape(2, -1)
+    # The control = 1 half of the state for each control, as (outer, inner).
+    halves = [state.reshape(shape)[:, 1] for shape in plan.halves]
+    for run in plan.runs:
+        if run.half is None:
+            src, dst = state, scratch
+        else:
+            half = halves[run.half]
+            src, dst = rows
+            np.copyto(src.reshape(half.shape), half)
+        for count, index, shape, columnwise in run.steps:
+            matrix = krons[count][index]
+            if columnwise:
+                np.matmul(matrix, src.reshape(shape).transpose(0, 2, 1, 3),
+                          out=dst.reshape(shape).transpose(0, 2, 1, 3))
+            else:
+                np.matmul(src.reshape(shape), matrix.T, out=dst.reshape(shape))
+            src, dst = dst, src
+        if run.half is not None:
+            np.copyto(half, src.reshape(half.shape))
+        elif src is not state:
+            np.copyto(state, src)
+        if check_norm:
+            _check_norm(state, f"gates {run.first}..{run.stop - 1}")
+    return state
+
+
+@dataclass(frozen=True)
+class _Run:
+    # Gates first..stop-1, applied to the whole state (half None) or to the
+    # control = 1 half of plan.halves[half]. Each step applies Kronecker
+    # matrix ``index`` of those on ``count`` axes to the block reshaped to
+    # ``shape``, through its (0, 2, 1, 3) transpose when ``columnwise``.
+    first: int
+    stop: int
+    half: int | None
+    steps: tuple[tuple[int, int, tuple[int, ...], bool], ...]
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """What simulate does with a template, worked out once per template.
+
+    A slot is one axis of one run (or one qubit of the prefix); its matrix
+    is the product of its gates' matrices in gate order. Slots are numbered
+    by decreasing gate count, so the gates at depth d >= 1 act on the first
+    ``len(levels[d])`` slots; the last slot has no gates and stays the
+    identity. Gate index len(template) stands for the identity matrix.
+    """
+
+    prefix: int
+    # [d][s]: the gate at depth d of slot s.
+    levels: tuple[np.ndarray, ...]
+    # A gate's matrix entries as float pairs: cos(angle/2) * cos_part +
+    # sin(angle/2) * sin_part, one row per gate and one for the identity.
+    cos_part: np.ndarray
+    sin_part: np.ndarray
+    # Flat indices of (m00, m10) of each qubit's prefix slot, qubits n-1..0.
+    prefix_columns: np.ndarray
+    # [count]: (groups, count, 2^count, 2^count) flat indices of the factors
+    # of each Kronecker matrix on that many axes; None where there is none.
+    kron: tuple[np.ndarray | None, ...]
+    # (outer, 2, inner) shapes that expose each control's two halves.
+    halves: tuple[tuple[int, int, int], ...]
+    runs: tuple[_Run, ...]
+
+    def matrices(self, angles: tuple[float, ...]) -> tuple[list, list]:
+        """The prefix's product-state columns and every Kronecker matrix."""
+        half_angles = np.array(angles + (0.0,)) * 0.5
+        entries = (np.cos(half_angles)[:, None] * self.cos_part
+                   + np.sin(half_angles)[:, None] * self.sin_part)
+        gates = entries.view(np.complex128).reshape(-1, 2, 2)
+        folded = gates[self.levels[0]]
+        for level in self.levels[1:]:
+            folded[:len(level)] = gates[level] @ folded[:len(level)]
+        flat = folded.reshape(-1)
+        krons = [None if index is None else np.multiply.reduce(flat[index], axis=1)
+                 for index in self.kron]
+        return flat[self.prefix_columns].tolist(), krons
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE)
+def _plan(template: tuple[Slot, ...], n: int) -> _Plan:
+    prefix = next((i for i, (kind, _, _) in enumerate(template) if kind == CRX), len(template))
+    slots: list[list[int]] = []  # each slot's gates, in gate order
+
+    def fold(gates, control: int | None) -> dict[int, int]:
+        # The slot of each axis the gates act on: the target's axis of the
+        # state, or of the control = 1 half, whose axes skip the control.
+        axes: dict[int, int] = {}
+        for i in gates:
+            target = template[i][1]
+            axis = target if control is None else target - (target > control)
+            if axis not in axes:
+                axes[axis] = len(slots)
+                slots.append([])
+            slots[axes[axis]].append(i)
+        return axes
+
+    prefix_axes = fold(range(prefix), None)
+    controls: list[int] = []
+    runs = []
     # rx/rz have no control, so grouping the gates by control splits them
     # into maximal same-control crx runs and stretches of rx/rz.
     for control, run in itertools.groupby(range(prefix, len(template)),
                                           lambda i: template[i][2]):
-        first = next(run)
-        stop = max(run, default=first) + 1
-        matrices = _fold(template[first:stop], angles[first:stop], control)
+        gates = list(run)
         if control is None:
-            out = _rotate(matrices, state, scratch, n)
-            if out is not state:
-                np.copyto(state, out)
+            half, n_axes = None, n
         else:
-            half = psi[(slice(None),) * control + (1,)]
-            np.copyto(rows[0].reshape(half.shape), half)
-            out = _rotate(matrices, rows[0], rows[1], n - 1)
-            np.copyto(half, out.reshape(half.shape))
-        if check_norm:
-            _check_norm(state, f"gates {first}..{stop - 1}")
-    return state
+            if control not in controls:
+                controls.append(control)
+            half, n_axes = controls.index(control), n - 1
+        runs.append((gates[0], gates[-1] + 1, half, n_axes, fold(gates, control)))
+    identity = len(slots)
+    slots.append([])
+
+    # Renumber the slots by decreasing depth (stable), so that each depth
+    # level covers a leading range of them.
+    order = sorted(range(len(slots)), key=lambda s: -len(slots[s]))
+    number = {s: k for k, s in enumerate(order)}
+    levels = [np.array([slots[s][0] if slots[s] else len(template) for s in order])]
+    levels += [np.array([slots[s][d] for s in order if len(slots[s]) > d])
+               for d in range(1, len(slots[order[0]]))]
+
+    cos_part = np.zeros((len(template) + 1, 8))
+    sin_part = np.zeros((len(template) + 1, 8))
+    cos_part[:, [0, 6]] = 1.0  # m00 and m11
+    for i, (kind, _, _) in enumerate(template):
+        if kind == RZ:  # m00, m11 = exp(-/+ i angle/2)
+            sin_part[i, [1, 7]] = -1.0, 1.0
+        else:  # rx, or a crx's rx on the control = 1 half: m01 = m10 = -i sin
+            sin_part[i, [3, 5]] = -1.0
+
+    groups: list[list[list[int]]] = [[] for _ in range(FUSE_AXES + 1)]
+    plan_runs = []
+    for first, stop, half, n_axes, axes in runs:
+        steps = []
+        for group in _axis_groups(sorted(axes)):
+            count = len(group)
+            steps.append((count, len(groups[count]), *_product_shape(group[0], count, n_axes)))
+            groups[count].append([number[axes[axis]] for axis in group])
+        plan_runs.append(_Run(first, stop, half, tuple(steps)))
+    kron = tuple(4 * np.array(found)[:, :, None, None] + _KRON_BITS[count] if found else None
+                 for count, found in enumerate(groups))
+    prefix_columns = np.array([[4 * number[prefix_axes.get(q, identity)] + entry
+                                for entry in (0, 2)] for q in range(n - 1, -1, -1)])
+    halves = tuple((1 << c, 2, 1 << (n - 1 - c)) for c in controls)
+    return _Plan(prefix, tuple(levels), cos_part, sin_part, prefix_columns, kron, halves,
+                 tuple(plan_runs))
 
 
-_IDENTITY = (1.0, 0.0, 0.0, 1.0)
-
-
-def _fold(run, angles, control: int | None) -> dict[int, tuple]:
-    # The run's gates commute across targets: on its block (the control = 1
-    # half for crx, whose axes skip the control) they act as one 2x2 matrix
-    # (m00, m01, m10, m11) per axis, a repeated target's gates multiplied in
-    # gate order. Folded in scalar arithmetic: one np.array per gate made an
-    # n=4 hash slower than applying the gates one by one.
-    matrices: dict[int, tuple] = {}
-    for (kind, target, _), angle in zip(run, angles):
-        axis = target if control is None else target - (target > control)
-        a, b, c, d = matrices.get(axis, _IDENTITY)
-        if kind == RZ:
-            lo, hi = cmath.exp(-0.5j * angle), cmath.exp(0.5j * angle)
-            matrices[axis] = (lo * a, lo * b, hi * c, hi * d)
-        else:  # rx, or a crx's rx on the control = 1 half
-            co, ms = math.cos(0.5 * angle), -1j * math.sin(0.5 * angle)
-            matrices[axis] = (co * a + ms * c, co * b + ms * d, ms * a + co * c, ms * b + co * d)
-    return matrices
-
-
-def _rotate(matrices: dict[int, tuple], src: np.ndarray, dst: np.ndarray,
-            n_axes: int) -> np.ndarray:
-    # Applies each axis's matrix to the block in src, one group of adjacent
-    # axes at a time, alternating between src and dst; returns the one that
-    # holds the result.
-    for axes in _axis_groups(sorted(matrices)):
-        factors = np.array([matrices[axis] for axis in axes], dtype=np.complex128)
-        matrix = np.multiply.reduce(factors.ravel()[_KRON_INDEX[len(axes)]])
-        _rotate_axes(matrix, src, dst, axes[0], len(axes), n_axes)
-        src, dst = dst, src
-    return src
-
-
-def _kron_index(count: int) -> np.ndarray:
-    # Picks the Kronecker product of ``count`` 2x2 factors out of their
-    # flattened entries: [l, r, c] indexes the entry of factor l at the
-    # bits of row r and column c that belong to its axis, so the product
-    # over l is the matrix, without np.kron's overhead.
+def _kron_bits(count: int) -> np.ndarray:
+    # [l, r, c]: the offset, within factor l's flattened 2x2 entries, of the
+    # entry at the bits of row r and column c that belong to its axis; the
+    # product over l of those entries is the Kronecker matrix, without
+    # np.kron's overhead.
     bits = np.arange(1 << count) >> np.arange(count - 1, -1, -1)[:, None] & 1
-    return 4 * np.arange(count)[:, None, None] + 2 * bits[:, :, None] + bits[:, None, :]
+    return 2 * bits[:, :, None] + bits[:, None, :]
 
 
-_KRON_INDEX = {count: _kron_index(count) for count in range(1, FUSE_AXES + 1)}
+_KRON_BITS = [None] + [_kron_bits(count) for count in range(1, FUSE_AXES + 1)]
 
 
 def _axis_groups(axes: list[int]) -> list[list[int]]:
@@ -186,10 +286,10 @@ def _axis_groups(axes: list[int]) -> list[list[int]]:
             for span in spans for stop in range(len(span), 0, -FUSE_AXES)]
 
 
-def _rotate_axes(matrix: np.ndarray, src: np.ndarray, dst: np.ndarray,
-                 first: int, count: int, n_axes: int) -> None:
-    # dst = src with ``matrix`` applied to axes first..first+count-1 of its
-    # (2,)*n_axes view. Each BLAS call does at most TILE_MACS multiply-adds,
+def _product_shape(first: int, count: int, n_axes: int) -> tuple[tuple[int, ...], bool]:
+    # How a matrix on axes first..first+count-1 of a (2,)*n_axes block is
+    # applied: the block's shape for np.matmul, and whether the products run
+    # over columns. Each BLAS call does at most TILE_MACS multiply-adds,
     # which keeps OpenBLAS 0.3.31 on the calling thread (it threads from
     # about 2^16): on a shared two-core host one threaded (16x16)@(16x2^15)
     # product took 8 ms against 0.15 ms on one thread.
@@ -198,15 +298,11 @@ def _rotate_axes(matrix: np.ndarray, src: np.ndarray, dst: np.ndarray,
     tile = TILE_MACS // (dim * dim)
     if inner == 1:
         # Rows of ``dim`` contiguous amplitudes, ``tile`` rows per product.
-        shape = (-1, min(tile, outer), dim)
-        np.matmul(src.reshape(shape), matrix.T, out=dst.reshape(shape))
-    else:
-        # Columns of ``dim`` amplitudes ``inner`` apart, ``tile`` columns
-        # per product.
-        cols = min(tile, inner)
-        shape = (outer, dim, inner // cols, cols)
-        np.matmul(matrix, src.reshape(shape).transpose(0, 2, 1, 3),
-                  out=dst.reshape(shape).transpose(0, 2, 1, 3))
+        return (-1, min(tile, outer), dim), False
+    # Columns of ``dim`` amplitudes ``inner`` apart, ``tile`` columns per
+    # product.
+    cols = min(tile, inner)
+    return (outer, dim, inner // cols, cols), True
 
 
 def probabilities(state: np.ndarray) -> np.ndarray:
@@ -239,17 +335,27 @@ def _first_tied_chunk(state: np.ndarray) -> tuple[int, np.ndarray, float]:
     # that holds a tie, and the tie threshold. Each chunk's probabilities
     # are the same elementwise operations as over the whole state, and the
     # maximum of the chunk maxima is the whole maximum, so every comparison
-    # with the threshold comes out as in one pass.
+    # with the threshold comes out as in one pass. They are written into one
+    # pair of buffers: three temporaries per chunk made an n=20 readout
+    # about twice as slow.
+    probs, imag = np.empty(READOUT_CHUNK), np.empty(READOUT_CHUNK)
+
+    def chunk(lo: int) -> None:
+        part = state[lo:lo + READOUT_CHUNK]
+        np.multiply(part.real, part.real, out=probs)
+        np.multiply(part.imag, part.imag, out=imag)
+        np.add(probs, imag, out=probs)
+
     peaks = []
     for lo in range(0, len(state), READOUT_CHUNK):
-        probs = probabilities(state[lo:lo + READOUT_CHUNK])
+        chunk(lo)
         peaks.append(probs.max())
     threshold = np.max(peaks) * (1.0 - TIE_TOL)
     # A NaN maximum ties nowhere; the readout then falls to index 0, as in
     # one pass.
     first = next((k for k, peak in enumerate(peaks) if peak >= threshold), 0)
     if first != len(peaks) - 1:  # probs holds the last chunk
-        probs = probabilities(state[first * READOUT_CHUNK:(first + 1) * READOUT_CHUNK])
+        chunk(first * READOUT_CHUNK)
     return first * READOUT_CHUNK, probs, threshold
 
 

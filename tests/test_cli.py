@@ -157,6 +157,38 @@ def test_mining_failure_exit_code(tmp_path, capsys):
     assert "mining failed" in err
 
 
+def test_mining_failure_on_a_new_chain_keeps_the_blocks_mined_before_it(tmp_path, capsys):
+    # Block 1 takes 5 attempts at seed 3; block 2 finds none in 12.
+    chain_path = str(tmp_path / "new.json")
+    code, out, err = run(capsys, "mine", "--chain", chain_path, "--blocks", "4", "--qubits", "2",
+                         "--difficulty", "1", "--max-attempts", "12", "--seed", "3")
+    assert code == 1
+    assert "mining failed" in err
+    assert "block 1:" in out and "wrote 2 blocks" in out
+    assert [b.index for b in load_chain(chain_path)] == [0, 1]
+    assert run(capsys, "verify", "--chain", chain_path, "--difficulty", "1")[0] == 0
+
+
+@pytest.mark.parametrize("seed,mined", [(5, 2), (3, 0)])
+def test_mining_failure_on_an_existing_chain_keeps_the_blocks_mined_before_it(
+        tmp_path, capsys, seed, mined):
+    chain_path = tmp_path / "chain.json"
+    assert run(capsys, "mine", "--chain", str(chain_path), "--blocks", "4", "--qubits", "2",
+               "--seed", "1")[0] == 0
+    before = chain_path.read_bytes()
+    code, out, err = run(capsys, "mine", "--chain", str(chain_path), "--blocks", "3",
+                         "--difficulty", "1", "--max-attempts", "12", "--seed", str(seed))
+    assert code == 1
+    assert "mining failed" in err
+    assert [b.index for b in load_chain(chain_path)] == list(range(5 + mined))
+    if mined:
+        assert f"wrote {5 + mined} blocks" in out
+        assert run(capsys, "verify", "--chain", str(chain_path), "--difficulty", "1")[0] == 0
+    else:  # nothing mined, nothing rewritten
+        assert "wrote" not in out
+        assert chain_path.read_bytes() == before
+
+
 def test_verify_detects_tampering(tmp_path, capsys):
     chain_path = str(tmp_path / "chain.json")
     run(capsys, "mine", "--chain", chain_path, "--blocks", "2", "--qubits", "2")

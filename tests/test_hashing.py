@@ -73,6 +73,15 @@ def test_encode_angles_properties(digest):
     assert np.array_equal(angles, encode_angles(digest))
 
 
+def test_encode_angles_equals_the_nibble_list_times_the_step():
+    rng = np.random.default_rng(14)
+    for _ in range(500):
+        digest = rng.bytes(32)
+        angles = encode_angles(digest)
+        assert angles.dtype == np.float64
+        assert np.array_equal(angles, np.array(nibbles(digest)) * ANGLE_STEP)
+
+
 def test_encode_angles_rejects_bad_length():
     with pytest.raises(ValueError):
         encode_angles(b"\x00" * 33)

@@ -5,7 +5,7 @@ import pytest
 
 from qpow.circuit import CRX, RX, RZ, Circuit, Gate, ansatz_template, build_ansatz
 from qpow.hashing import encode_angles, sha3_256
-from qpow.simulator import (READOUT_CHUNK, TIE_TOL, histogram_csv,
+from qpow.simulator import (PLAN_CACHE, READOUT_CHUNK, TIE_TOL, _plan, histogram_csv,
                             most_probable_state, num_qubits, probabilities, sample_counts,
                             simulate)
 
@@ -130,6 +130,76 @@ def test_random_gate_streams_match_dense_oracle(n):
         circuit = Circuit(n, gates)
         np.testing.assert_allclose(simulate(circuit, check_norm=True), simulate_dense(circuit),
                                    rtol=0, atol=1e-12)
+
+
+def planned_case(n: int, name: str) -> Circuit:
+    """Hand-built runs that exercise each part of a template's plan."""
+    rng = np.random.default_rng(sum(name.encode()) + 7 * n)
+
+    def angle():
+        return float(rng.uniform(-2 * math.pi, 2 * math.pi))
+
+    def crx(control, *targets):
+        return [Gate(CRX, t, angle(), control=control) for t in targets]
+
+    def one(kind, *targets):
+        return [Gate(kind, t, angle()) for t in targets]
+
+    last = n - 1
+    body = {
+        # Depth > 1: one axis's matrix is a product of several gates.
+        "repeated-in-stretch": crx(last, 0) + one(RX, 1) + one(RZ, 1, 2) + one(RX, 1, 1)
+        + one(RZ, 1) + crx(0, 1),
+        "repeated-in-crx-run": crx(last, 2, 0, 2, 1, 2, 0),
+        # Depths 1 to 4 in one circuit, in stretches and in crx runs.
+        "mixed-depths": crx(1, 0, 2, 0, 3) + one(RZ, 0) + one(RX, 3, 3, 3, 3) + one(RZ, 1)
+        + crx(last, 0, 1, 0, 1, 0, 2),
+        "one-gate-runs": crx(0, 1) + one(RX, 2) + crx(last, 1) + one(RZ, 0) + crx(2, last)
+        + crx(0, 2),
+        "same-control-split": crx(2, 0, 1) + one(RZ, last) + crx(2, 3, last) + one(RX, 0)
+        + crx(2, 1),
+        "control-0": crx(0, *range(1, n)) + one(RX, 0) + crx(0, *range(n - 1, 0, -1)),
+        "control-last": crx(last, *range(last)) + one(RZ, last) + crx(last, *range(last)),
+    }[name]
+    spread = [Gate(kind, q, angle()) for q in range(n) for kind in (RX, RZ)]
+    return Circuit(n, spread + body)
+
+
+PLANNED_CASES = ["repeated-in-stretch", "repeated-in-crx-run", "mixed-depths",
+                 "one-gate-runs", "same-control-split", "control-0", "control-last"]
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("name", PLANNED_CASES)
+def test_planned_runs_match_dense_oracle(name, n):
+    circuit = planned_case(n, name)
+    np.testing.assert_allclose(simulate(circuit, check_norm=True), simulate_dense(circuit),
+                               rtol=0, atol=1e-12)
+
+
+def test_n2_ansatz_matches_dense_oracle():
+    # 30 runs of one to four gates after a four-gate prefix.
+    for i in range(20):
+        circuit = ansatz_from(f"n2 plan {i}".encode(), 2)
+        np.testing.assert_allclose(simulate(circuit, check_norm=True), simulate_dense(circuit),
+                                   rtol=0, atol=1e-12)
+
+
+def test_plan_cache_stays_bounded():
+    # 3000 distinct templates of five rx/rz gates and one crx on 3 qubits.
+    kinds = [(kind, q) for kind in (RX, RZ) for q in range(3)]
+    for i in range(3000):
+        digits = [i // 6 ** k % 6 for k in range(5)]
+        gates = [Gate(*kinds[d], 0.1 * k + 0.3) for k, d in enumerate(digits)]
+        circuit = Circuit(3, gates + [Gate(CRX, i % 3, 0.7, control=(i + 1) % 3)])
+        state = simulate(circuit)
+        assert _plan.cache_info().currsize <= PLAN_CACHE
+    np.testing.assert_allclose(state, simulate_dense(circuit), rtol=0, atol=1e-12)
+    # An ansatz template still plans once and then hits.
+    hits = _plan.cache_info().hits
+    simulate(ansatz_from(b"after many", 3))
+    simulate(ansatz_from(b"after many again", 3))
+    assert _plan.cache_info().hits == hits + 1
 
 
 def fused_case(n: int, name: str) -> Circuit:
