@@ -8,6 +8,7 @@ by side.
 """
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -23,6 +24,10 @@ QUITO_TIME_RATIO_1E3: dict[int, float] = {2: 6.0, 3: 8.0, 4: 8.4, 5: 10.5}
 
 MAX_SCAN_QUBITS = 200
 BYTES_PER_AMPLITUDE = 16  # complex128
+# Peak memory of parsing a chain file per byte of it: load_chain grew peak
+# RSS by 3.4x the file for save_chain's indented files and by 3.85x for
+# compact JSON (40k blocks, CPython 3.11).
+CHAIN_PARSE_FACTOR = 4
 
 
 @dataclass(frozen=True)
@@ -141,6 +146,17 @@ def check_bench_feasible(n: int) -> None:
         raise ValueError(
             f"n={n} needs a block of 2^{n + 1} amplitudes of {BYTES_PER_AMPLITUDE} bytes; "
             f"at most n={limit} fits in half of available memory")
+
+
+def check_chain_file_feasible(path: str | os.PathLike) -> None:
+    """Raise ValueError unless parsing the chain file at ``path`` fits in half
+    of available memory; reads only the file's size."""
+    size = os.path.getsize(path)
+    if size * CHAIN_PARSE_FACTOR > available_memory_bytes() // 2:
+        raise ValueError(
+            f"chain file {os.fspath(path)} of {size} bytes needs about "
+            f"{CHAIN_PARSE_FACTOR * size} bytes of memory to parse; more than half "
+            f"of available memory")
 
 
 def bench_simulator(n_values: list[int], reps: int = 3, seed: int = 0,

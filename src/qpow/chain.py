@@ -6,7 +6,8 @@ outcome b, and the proof is h2 = sha3(h1 ++ pack(b)). Re-including h1 in the
 second hash keeps the full 256-bit preimage resistance even though b carries
 only n bits, and makes the proof a pure function of the input text under the
 exact backend. A block verifies when its recorded proof re-derives exactly,
-which costs a single circuit simulation.
+which costs a single circuit simulation; a chain's proofs are re-derived in
+batches of circuits that run as one block (``prove_many``).
 """
 from __future__ import annotations
 
@@ -16,13 +17,15 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .circuit import MAX_QUBITS, MIN_QUBITS, Circuit, build_ansatz, count_two_qubit_gates
+from .circuit import (MAX_QUBITS, MIN_QUBITS, Circuit, ansatz_template, build_ansatz,
+                      count_two_qubit_gates)
 from .hashing import DIGEST_SIZE, check_digest, encode_angles, sha3_256
 from .noise import NoiseParams, noisy_outcome
-from .simulator import most_probable_state, simulate
+from .simulator import batch_rows, outcome_indices, simulate_batch
 
 ZERO_HASH = bytes(DIGEST_SIZE)
 NONCE_BITS = 32
@@ -122,8 +125,13 @@ def pack_bits(bits: str) -> bytes:
     """Pack an n-bit string into ceil(n/8) bytes, MSB first, zero-padded on the right."""
     if not bits or any(b not in "01" for b in bits):
         raise ValueError(f"expected a non-empty bit string, got {bits!r}")
-    n_bytes = (len(bits) + 7) // 8
-    return (int(bits, 2) << (8 * n_bytes - len(bits))).to_bytes(n_bytes, "big")
+    return _pack_index(int(bits, 2), len(bits))
+
+
+def _pack_index(index: int, n_bits: int) -> bytes:
+    # pack_bits of the n-bit string of ``index``.
+    n_bytes = (n_bits + 7) // 8
+    return (index << (8 * n_bytes - n_bits)).to_bytes(n_bytes, "big")
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,12 +149,36 @@ def prove(text: bytes, n_qubits: int, backend: NoisyBackend | None = None) -> Pr
     """The full proof pipeline: sha3 -> angles -> ansatz -> outcome -> sha3.
 
     ``backend`` None is the exact backend: the simulator's most-probable state.
+    The circuit runs as a batch of one, through the kernel ``prove_many`` uses.
     """
     h1 = sha3_256(text)
-    circuit = build_ansatz(encode_angles(h1), n_qubits)
-    state = simulate(circuit)
-    bits = most_probable_state(state).bits if backend is None else backend.outcome(state, circuit)
-    return Proof(h1, circuit, state, bits, sha3_256(h1 + pack_bits(bits)))
+    angles = encode_angles(h1)
+    circuit = build_ansatz(angles, n_qubits)
+    states, scratch = simulate_batch(circuit.template, n_qubits, angles[None])
+    if backend is None:
+        bits = format(int(outcome_indices(states, scratch)[0]), f"0{n_qubits}b")
+    else:
+        bits = backend.outcome(states[0], circuit)
+    return Proof(h1, circuit, states[0], bits, sha3_256(h1 + pack_bits(bits)))
+
+
+def prove_many(texts: Sequence[bytes], n_qubits: int) -> list[bytes]:
+    """The exact-backend proof hash h2 of each text, in order.
+
+    Equal to ``qpow_hash`` text by text. The circuits run ``batch_rows`` at
+    a time, each batch as one block of states.
+    """
+    template = ansatz_template(n_qubits)
+    h1s = [sha3_256(text) for text in texts]
+    step = batch_rows(template, n_qubits)
+    h2s = []
+    for lo in range(0, len(h1s), step):
+        batch = h1s[lo:lo + step]
+        states, scratch = simulate_batch(template, n_qubits,
+                                         np.stack([encode_angles(h1) for h1 in batch]))
+        h2s += [sha3_256(h1 + _pack_index(index, n_qubits))
+                for h1, index in zip(batch, outcome_indices(states, scratch).tolist())]
+    return h2s
 
 
 def qpow_hash(text: bytes, n_qubits: int, backend: NoisyBackend | None = None) -> bytes:
@@ -222,12 +254,9 @@ def mine_block(prev: Block, payload: str, difficulty: int, n_qubits: int,
     raise MiningExhausted(max_attempts)
 
 
-def _judge(block: Block, prev: Block | None, n_qubits: int, difficulty: int | None) -> str:
-    """The first rule ``block`` breaks, or "ok"; ``prev`` is None for the genesis.
-
-    The structural rules allocate nothing. Unless ``difficulty`` is None, the
-    proof is then re-derived with the exact backend: one simulation.
-    """
+def _structure(block: Block, prev: Block | None, n_qubits: int) -> str:
+    """The first structural rule ``block`` breaks, or "ok"; ``prev`` is None
+    for the genesis. These rules allocate nothing and simulate nothing."""
     if prev is None:
         if block.index != 0 or block.prev_hash != ZERO_HASH:
             return "genesis-structure"
@@ -241,21 +270,37 @@ def _judge(block: Block, prev: Block | None, n_qubits: int, difficulty: int | No
         return "n-qubits"
     if not 0 <= block.nonce < 1 << NONCE_BITS:
         return "nonce-range"
-    if difficulty is None:
-        return "ok"
-    text = serialize_text(block.nonce, block.payload, block.prev_hash)
-    if qpow_hash(text, block.n_qubits) != block.pow_hash:
-        return "pow-hash"
-    if prev is not None and not check_difficulty(block.pow_hash, difficulty):
-        return "difficulty"
     return "ok"
+
+
+def _judge(pairs: list[tuple[Block | None, Block]], n_qubits: int,
+           difficulty: int | None) -> list[str]:
+    """Per (prev, block) pair, the first rule the block breaks, or "ok".
+
+    The structural rules come first, for every block. Unless ``difficulty``
+    is None, the proofs of the blocks that pass them, all of ``n_qubits``,
+    are then re-derived in order with the exact backend, one simulation
+    each, and pow-hash and (not for the genesis) difficulty are applied.
+    """
+    reasons = [_structure(block, prev, n_qubits) for prev, block in pairs]
+    if difficulty is None or "ok" not in reasons:
+        return reasons
+    sound = [i for i, reason in enumerate(reasons) if reason == "ok"]
+    texts = [serialize_text(block.nonce, block.payload, block.prev_hash)
+             for block in (pairs[i][1] for i in sound)]
+    for i, h2 in zip(sound, prove_many(texts, n_qubits)):
+        prev, block = pairs[i]
+        if h2 != block.pow_hash:
+            reasons[i] = "pow-hash"
+        elif prev is not None and not check_difficulty(block.pow_hash, difficulty):
+            reasons[i] = "difficulty"
+    return reasons
 
 
 def _judge_chain(chain: list[Block], difficulty: int | None) -> list[str]:
     if not chain:
         raise ValueError("chain must be non-empty")
-    return [_judge(block, prev, chain[0].n_qubits, difficulty)
-            for prev, block in zip([None, *chain], chain)]
+    return _judge(list(zip([None, *chain], chain)), chain[0].n_qubits, difficulty)
 
 
 def check_structure(chain: list[Block]) -> list[str]:
@@ -273,7 +318,7 @@ def verify_block(block: Block, prev: Block, difficulty: int) -> Verdict:
     nonce-range, pow-hash, difficulty, or ok. A block outside
     [MIN_QUBITS, MAX_QUBITS] is judged n-qubits before anything is allocated.
     """
-    reason = _judge(block, prev, prev.n_qubits, difficulty)
+    [reason] = _judge([(prev, block)], prev.n_qubits, difficulty)
     return Verdict(block.index, reason == "ok", reason)
 
 
@@ -281,7 +326,9 @@ def verify_chain(chain: list[Block], difficulty: int) -> ChainVerification:
     """Check the genesis structure and every adjacent pair of blocks.
 
     Each mined block is judged independently against its stored predecessor,
-    so one bad block does not mask the verdicts of the blocks after it.
+    so one bad block does not mask the verdicts of the blocks after it. The
+    proofs of the structurally sound blocks are re-derived in batches, one
+    simulation per block.
     The genesis is held to structure and proof re-derivation, not difficulty.
     Every block must use the genesis's qubit count, in [MIN_QUBITS, MAX_QUBITS];
     verdicts never depend on the host, whose memory the caller checks first.

@@ -106,7 +106,13 @@ def _gate(slot: Slot, angle: float) -> Gate:
 
 @functools.lru_cache(maxsize=None)
 def ansatz_template(n_qubits: int) -> tuple[Slot, ...]:
-    """The (kind, target, control) of each of the 64 ansatz gates at ``n_qubits``."""
+    """The (kind, target, control) of each of the 64 ansatz gates at ``n_qubits``.
+
+    Raises ValueError unless ``n_qubits`` is in [MIN_QUBITS, MAX_QUBITS].
+    """
+    if not MIN_QUBITS <= n_qubits <= MAX_QUBITS:
+        raise ValueError(
+            f"n_qubits must be in [{MIN_QUBITS}, {MAX_QUBITS}], got {n_qubits}")
     template: list[Slot] = []
     while len(template) < N_ANGLES:
         for q in range(n_qubits):
@@ -122,15 +128,13 @@ def build_ansatz(angles: Sequence[float] | np.ndarray, n_qubits: int) -> Circuit
     Angle i always lands on gate i of the emission order, so the circuit is a
     pure function of the digest that produced the angles.
     """
-    if not MIN_QUBITS <= n_qubits <= MAX_QUBITS:
-        raise ValueError(
-            f"n_qubits must be in [{MIN_QUBITS}, {MAX_QUBITS}], got {n_qubits}")
+    template = ansatz_template(n_qubits)
     angles = np.asarray(angles, dtype=np.float64)
     if angles.shape != (N_ANGLES,):
         raise ValueError(f"expected {N_ANGLES} angles, got shape {angles.shape}")
     if not np.isfinite(angles).all():
         raise ValueError("ansatz angles must be finite")
-    return Circuit._of(n_qubits, ansatz_template(n_qubits), tuple(angles.tolist()))
+    return Circuit._of(n_qubits, template, tuple(angles.tolist()))
 
 
 def count_two_qubit_gates(circuit: Circuit) -> int:

@@ -1,7 +1,8 @@
 """Command-line front end: mine, verify, hash, bench, and advantage workflows.
 
 Exit codes are a stable scripting contract: 0 success, 1 mining or
-verification failure, 2 usage or IO error or a state too big for this host.
+verification failure, 2 usage or IO error, or a chain file or state too big
+for this host.
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import sys
 import time
 
 from .analysis import (DEFAULT_MODEL, advantage_csv, bench_csv, bench_simulator,
-                       check_bench_feasible, find_crossover)
+                       check_bench_feasible, check_chain_file_feasible, find_crossover)
 from .chain import (DEFAULT_MAX_ATTEMPTS, Block, ChainFormatError, MiningExhausted,
                     NoisyBackend, check_structure, load_chain, make_genesis, mine_block,
                     prove, save_chain, verify_chain)
@@ -44,6 +45,7 @@ def _make_backend(args: argparse.Namespace, n_qubits: int) -> NoisyBackend | Non
 def cmd_mine(args: argparse.Namespace) -> int:
     existing = os.path.exists(args.chain)
     if existing:
+        check_chain_file_feasible(args.chain)
         chain = load_chain(args.chain)
         # Refuse to extend what verify would reject; proofs are left to verify.
         for block, reason in zip(chain, check_structure(chain)):
@@ -88,6 +90,7 @@ def _save(chain: list[Block], path: str) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    check_chain_file_feasible(args.chain)
     chain = load_chain(args.chain)
     if MIN_QUBITS <= chain[0].n_qubits <= MAX_QUBITS:  # the only count ever simulated
         check_bench_feasible(chain[0].n_qubits)

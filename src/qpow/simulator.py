@@ -6,23 +6,31 @@ Conventions, used consistently by the chain layer:
 - the readout is the lowest basis-state index whose probability is within a
   relative TIE_TOL of the maximum, so rounding cannot pick among true ties.
 
-Every circuit, of any size, runs through one kernel. Its gates are split into
-maximal runs of consecutive gates that share a control field: stretches of
-rx/rz (no control) and runs of crx gates with one control. A run acts on a
-block of the state as one 2x2 matrix per axis, a repeated target's gates
-multiplied in gate order: on the whole state for rx/rz, on the control = 1
-half for crx. The rx/rz gates before the first crx act on |0...0>, so their
-matrices' first columns give a product state, written into the amplitude
-array in one sweep. Every later run rotates adjacent axes of its block
-together by one Kronecker matrix of up to 16x16 through tiled matrix
-products, alternating between the block and a scratch buffer of its size; a
-crx run's half is copied into the scratch and back. The state and its 2^n
-scratch buffer are one allocation of 2^(n+1) amplitudes; the returned state
-is a view of its first half.
+Every circuit, of any size, runs through one kernel, ``simulate_batch``. It
+runs B circuits that share a template, differing only in their angles, as one
+(B, 2^n) block with the batch on the leading axis; ``simulate`` is its batch
+of one. Gates are split into maximal runs of consecutive gates that share a
+control field: stretches of rx/rz (no control) and runs of crx gates with one
+control. A run acts on a block of each state as one 2x2 matrix per axis, a
+repeated target's gates multiplied in gate order: on the whole state for
+rx/rz, on the control = 1 half for crx. The rx/rz gates before the first crx
+act on |0...0>, so their matrices' first columns give a product state: one
+Kronecker vector per group of up to four qubits, joined by one outer product
+per group. Every later run rotates adjacent axes of its block together by one
+Kronecker matrix of up to 16x16 through tiled matrix products, alternating
+between the block and a scratch buffer of its size; a crx run's half is
+copied into the scratch and back. Each product covers the whole batch, each
+row with its own matrix. The states and their scratch are one allocation of
+2 * B * 2^n amplitudes.
+
+How many circuits share a batch is capped by BATCH_BYTES, the bytes a batch
+keeps live (states, scratch, Kronecker matrices, gate matrices), so a batch
+stays cache-sized: B is 32 at n = 4, 8 at n = 12, and 1 from n = 15 on,
+where two circuits no longer fit.
 
 How a template splits into runs, axis groups and product shapes depends
 only on its (kind, target, control) triples, so it is planned once per
-template (`_plan`, a bounded cache). Per circuit, every gate's 2x2 matrix,
+template (`_plan`, a bounded cache). Per batch, every gate's 2x2 matrix,
 every per-axis fold and every Kronecker matrix of one size come from a few
 array operations over all of its angles at once; the run loop only applies
 them.
@@ -55,6 +63,8 @@ READOUT_CHUNK = 1 << 16
 # Templates whose plans are kept: more than the 29 ansatz templates, so that
 # those stay cached, while hand-built circuits cannot grow the cache.
 PLAN_CACHE = 64
+# Live bytes of one batch of circuits (see _Plan.row_bytes).
+BATCH_BYTES = 7 << 18
 
 
 @dataclass(frozen=True)
@@ -72,73 +82,97 @@ def num_qubits(state: np.ndarray) -> int:
     return n
 
 
-def _check_norm(state: np.ndarray, where: str) -> None:
-    norm = float(np.linalg.norm(state))
-    if not abs(norm - 1.0) <= NORM_TOL:  # a NaN norm fails too
-        raise RuntimeError(f"statevector norm drifted to {norm!r} after {where}")
+def _check_norm(states: np.ndarray, where: str) -> None:
+    for row, norm in enumerate(np.linalg.norm(states, axis=1).tolist()):
+        if not abs(norm - 1.0) <= NORM_TOL:  # a NaN norm fails too
+            raise RuntimeError(f"statevector norm of row {row} drifted to {norm!r} after {where}")
 
 
 def simulate(circuit: Circuit, check_norm: bool = False) -> np.ndarray:
     """Run the circuit from |0...0> and return the final statevector.
 
-    The result is a view into a 2^(n+1)-amplitude block that also held the
-    scratch buffer, so it keeps that block alive. With ``check_norm`` the
-    prefix and every later run of gates are followed by a unitarity check
-    that the L2 norm stayed within 1e-10 of 1; violations raise RuntimeError.
+    The batch of one circuit: the result is a view into the 2^(n+1)-amplitude
+    block of ``simulate_batch``, so it keeps that block alive.
     """
-    n = circuit.n_qubits
-    plan = _plan(circuit.template, n)
-    columns, krons = plan.matrices(circuit.angles)
-    # One block: the state, then a scratch buffer of the same size. From
+    states, _ = simulate_batch(circuit.template, circuit.n_qubits,
+                               np.array([circuit.angles]), check_norm)
+    return states[0]
+
+
+def batch_rows(template: tuple[Slot, ...], n: int) -> int:
+    """How many circuits of this template ``simulate_batch`` should run at
+    once: as many as keep the batch's live bytes within BATCH_BYTES, at least one."""
+    return max(1, BATCH_BYTES // _plan(template, n).row_bytes)
+
+
+def simulate_batch(template: tuple[Slot, ...], n: int, angles: np.ndarray,
+                   check_norm: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Run B circuits that share ``template``, one per row of the
+    (B, len(template)) ``angles``, from |0...0> as one (B, 2^n) block.
+
+    Returns (states, scratch), the two (B, 2^n) halves of one allocation; the
+    scratch is free once this returns, and ``outcome_indices`` may reuse it.
+    With ``check_norm`` the prefix and every later run of gates are followed
+    by a unitarity check that each row's L2 norm stayed within 1e-10 of 1;
+    violations raise RuntimeError.
+    """
+    plan = _plan(template, n)
+    rows = len(angles)
+    vectors, col_krons, row_krons = plan.matrices(angles)
+    # One block: the states, then a scratch buffer of the same size. From
     # n = 20 on it exceeds the 32 MiB ceiling of glibc's mmap threshold, so
     # every call maps and unmaps it instead of leaving part of it in the heap.
-    work = np.empty(2 << n, dtype=np.complex128)
-    state, scratch = work[:1 << n], work[1 << n:]
-    # The product, written in place: state[:size] holds the product of
-    # qubits k+1..n-1, and qubit k, the next more significant bit, doubles
-    # that block. The sweeps total about two passes over the state.
-    state[0] = 1.0
-    size = 1
-    for a0, a1 in columns:  # qubits n-1 .. 0
-        np.multiply(state[:size], a1, out=state[size:2 * size])
-        state[:size] *= a0
-        size *= 2
+    work = np.empty((2, rows, 1 << n), dtype=np.complex128)
+    states, scratch = work
+    # The product state, from the least significant group of qubits up:
+    # each step multiplies the block so far by the next group's vector into
+    # the other buffer, so that the last step writes the states.
+    block = vectors[0]
+    dst = scratch if len(vectors) % 2 else states
+    for vector in vectors[1:]:
+        size = block.shape[1] * vector.shape[1]
+        np.multiply(vector[:, :, None], block[:, None, :],
+                    out=dst[:, :size].reshape(rows, -1, block.shape[1]))
+        block, dst = dst[:, :size], (scratch if dst is states else states)
+    if len(vectors) == 1:
+        np.copyto(states, block)
     if check_norm:
-        _check_norm(state, f"the {plan.prefix}-gate prefix")
+        _check_norm(states, f"the {plan.prefix}-gate prefix")
 
-    rows = scratch.reshape(2, -1)
-    # The control = 1 half of the state for each control, as (outer, inner).
-    halves = [state.reshape(shape)[:, 1] for shape in plan.halves]
+    # The scratch as two contiguous (B, 2^(n-1)) blocks, for crx runs.
+    half_src, half_dst = scratch.reshape(2, rows, -1)
+    # The control = 1 halves of the states for each control, as (B, outer, inner).
+    halves = [states.reshape(shape)[:, :, 1] for shape in plan.halves]
     for run in plan.runs:
         if run.half is None:
-            src, dst = state, scratch
+            src, dst = states, scratch
         else:
             half = halves[run.half]
-            src, dst = rows
+            src, dst = half_src, half_dst
             np.copyto(src.reshape(half.shape), half)
         for count, index, shape, columnwise in run.steps:
-            matrix = krons[count][index]
             if columnwise:
-                np.matmul(matrix, src.reshape(shape).transpose(0, 2, 1, 3),
-                          out=dst.reshape(shape).transpose(0, 2, 1, 3))
+                np.matmul(col_krons[count][index], src.reshape(shape).transpose(0, 1, 3, 2, 4),
+                          out=dst.reshape(shape).transpose(0, 1, 3, 2, 4))
             else:
-                np.matmul(src.reshape(shape), matrix.T, out=dst.reshape(shape))
+                np.matmul(src.reshape(shape), row_krons[count][index], out=dst.reshape(shape))
             src, dst = dst, src
         if run.half is not None:
             np.copyto(half, src.reshape(half.shape))
-        elif src is not state:
-            np.copyto(state, src)
+        elif src is not states:
+            np.copyto(states, src)
         if check_norm:
-            _check_norm(state, f"gates {run.first}..{run.stop - 1}")
-    return state
+            _check_norm(states, f"gates {run.first}..{run.stop - 1}")
+    return states, scratch
 
 
 @dataclass(frozen=True)
 class _Run:
     # Gates first..stop-1, applied to the whole state (half None) or to the
     # control = 1 half of plan.halves[half]. Each step applies Kronecker
-    # matrix ``index`` of those on ``count`` axes to the block reshaped to
-    # ``shape``, through its (0, 2, 1, 3) transpose when ``columnwise``.
+    # matrix ``index`` of those on ``count`` axes to the (B, ...) block
+    # reshaped to ``shape``, through its (0, 1, 3, 2, 4) transpose when
+    # ``columnwise``.
     first: int
     stop: int
     half: int | None
@@ -147,7 +181,7 @@ class _Run:
 
 @dataclass(frozen=True)
 class _Plan:
-    """What simulate does with a template, worked out once per template.
+    """What simulate_batch does with a template, worked out once per template.
 
     A slot is one axis of one run (or one qubit of the prefix); its matrix
     is the product of its gates' matrices in gate order. Slots are numbered
@@ -163,28 +197,61 @@ class _Plan:
     # sin(angle/2) * sin_part, one row per gate and one for the identity.
     cos_part: np.ndarray
     sin_part: np.ndarray
-    # Flat indices of (m00, m10) of each qubit's prefix slot, qubits n-1..0.
-    prefix_columns: np.ndarray
-    # [count]: (groups, count, 2^count, 2^count) flat indices of the factors
-    # of each Kronecker matrix on that many axes; None where there is none.
-    kron: tuple[np.ndarray | None, ...]
-    # (outer, 2, inner) shapes that expose each control's two halves.
-    halves: tuple[tuple[int, int, int], ...]
+    # [l][e]: the flat index of the 2x2 entry of factor l that entry e
+    # takes. The entries are the prefix's product-state vectors, one per
+    # group of up to FUSE_AXES qubits, least significant group first, and
+    # then the Kronecker matrices on one axis, two axes, and so on. A
+    # product of fewer than FUSE_AXES factors takes the identity's exact 1.0
+    # for the missing ones.
+    factors: np.ndarray
+    # (start, length) of each prefix vector in the entries.
+    prefix_spans: tuple[tuple[int, int], ...]
+    # [count]: (start, groups, columnwise, rowwise) of the Kronecker
+    # matrices on that many axes in the entries, groups x 2^count x 2^count
+    # of them from ``start``, and whether columnwise and row steps use them.
+    kron_spans: tuple[tuple[int, int, bool, bool], ...]
+    # (B, outer, 2, inner) shapes that expose each control's two halves.
+    halves: tuple[tuple[int, int, int, int], ...]
     runs: tuple[_Run, ...]
+    # Bytes one circuit keeps live in a batch: its state and scratch, its
+    # Kronecker matrices and prefix vectors, and its gate and fold matrices.
+    row_bytes: int
 
-    def matrices(self, angles: tuple[float, ...]) -> tuple[list, list]:
-        """The prefix's product-state columns and every Kronecker matrix."""
-        half_angles = np.array(angles + (0.0,)) * 0.5
-        entries = (np.cos(half_angles)[:, None] * self.cos_part
-                   + np.sin(half_angles)[:, None] * self.sin_part)
-        gates = entries.view(np.complex128).reshape(-1, 2, 2)
-        folded = gates[self.levels[0]]
+    def matrices(self, angles: np.ndarray) -> tuple[list, list, list]:
+        """For (B, gates) angles: the prefix's (B, 2^count) product-state
+        vectors, and every Kronecker matrix, per size as (groups, B, 1, 1,
+        dim, dim) stacks for columnwise steps and as transposed (groups, B, 1,
+        dim, dim) stacks for row steps."""
+        rows = len(angles)
+        half_angles = np.zeros((rows, len(self.cos_part)))
+        np.multiply(angles, 0.5, out=half_angles[:, :-1])
+        parts = (np.cos(half_angles)[..., None] * self.cos_part
+                 + np.sin(half_angles)[..., None] * self.sin_part)
+        gates = parts.view(np.complex128).reshape(rows, -1, 2, 2)
+        # np.take gathers in about half the time of fancy indexing.
+        folded = np.take(gates, self.levels[0], axis=1)
         for level in self.levels[1:]:
-            folded[:len(level)] = gates[level] @ folded[:len(level)]
-        flat = folded.reshape(-1)
-        krons = [None if index is None else np.multiply.reduce(flat[index], axis=1)
-                 for index in self.kron]
-        return flat[self.prefix_columns].tolist(), krons
+            # The 2x2 products, written out: a BLAS call per matrix pair cost
+            # three times as much at B = 8.
+            later, done = np.take(gates, level, axis=1), folded[:, :len(level)]
+            done[...] = later[..., :1] * done[..., :1, :] + later[..., 1:] * done[..., 1:, :]
+        flat = folded.reshape(rows, -1)
+        # Every entry is a product of one 2x2 entry of each of its factors,
+        # multiplied in factor order one factor at a time, so no (B, factors,
+        # entries) array is gathered.
+        entries = np.take(flat, self.factors[0], axis=1)
+        for index in self.factors[1:]:
+            entries *= np.take(flat, index, axis=1)
+        col_krons, row_krons = [], []
+        for count, (start, groups, columnwise, rowwise) in enumerate(self.kron_spans):
+            dim = 1 << count
+            stack = entries[:, start:start + groups * dim * dim]
+            col_krons.append(stack.reshape(rows, groups, 1, 1, dim, dim).transpose(1, 0, 2, 3, 4, 5)
+                             if columnwise else None)
+            row_krons.append(stack.reshape(rows, groups, 1, dim, dim).transpose(1, 0, 2, 4, 3)
+                             if rowwise else None)
+        vectors = [entries[:, start:start + length] for start, length in self.prefix_spans]
+        return vectors, col_krons, row_krons
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE)
@@ -249,13 +316,40 @@ def _plan(template: tuple[Slot, ...], n: int) -> _Plan:
             steps.append((count, len(groups[count]), *_product_shape(group[0], count, n_axes)))
             groups[count].append([number[axes[axis]] for axis in group])
         plan_runs.append(_Run(first, stop, half, tuple(steps)))
-    kron = tuple(4 * np.array(found)[:, :, None, None] + _KRON_BITS[count] if found else None
-                 for count, found in enumerate(groups))
-    prefix_columns = np.array([[4 * number[prefix_axes.get(q, identity)] + entry
-                                for entry in (0, 2)] for q in range(n - 1, -1, -1)])
-    halves = tuple((1 << c, 2, 1 << (n - 1 - c)) for c in controls)
-    return _Plan(prefix, tuple(levels), cos_part, sin_part, prefix_columns, kron, halves,
-                 tuple(plan_runs))
+    one = 4 * number[identity]  # its m00, exactly 1.0
+    factors: list[np.ndarray] = []
+
+    def products(found: list[list[int]], bits: np.ndarray) -> tuple[int, int]:
+        # Append the entries of len(found) products whose factors have the
+        # slots of one row of ``found``; ``bits`` holds each factor's offsets
+        # within its 2x2 entries. Returns (start, count) of those products.
+        start = sum(index.shape[1] for index in factors)
+        if found:
+            count = len(found[0])
+            index = np.full((FUSE_AXES, len(found)) + bits.shape[1:], one)
+            index[:count] = 4 * np.array(found).T.reshape((count, -1) + (1,) * (bits.ndim - 1))
+            index[:count] += bits[:, None]
+            factors.append(index.reshape(FUSE_AXES, -1))
+        return start, len(found)
+
+    # The prefix's qubits in groups from the least significant up; a
+    # vector's entries are the first column of a Kronecker matrix.
+    prefix_spans = []
+    for group in _axis_groups(list(range(n))):
+        slots_of = [[number[prefix_axes.get(q, identity)] for q in group]]
+        start, _ = products(slots_of, _KRON_BITS[len(group)][:, :, 0])
+        prefix_spans.append((start, 1 << len(group)))
+    forms = {(count, columnwise) for run in plan_runs for count, _, _, columnwise in run.steps}
+    kron_spans = tuple((*products(found, _KRON_BITS[count]), (count, True) in forms,
+                        (count, False) in forms) for count, found in enumerate(groups))
+    factors = np.concatenate(factors, axis=1)
+    halves = tuple((-1, 1 << c, 2, 1 << (n - 1 - c)) for c in controls)
+    # Amplitudes of 16 bytes: the state and its scratch, the entries and one
+    # gathered factor of them, and about 8 per gate and per slot for the 2x2
+    # matrices.
+    amplitudes = (2 << n) + 2 * factors.shape[1] + 8 * (len(template) + 1 + len(slots))
+    return _Plan(prefix, tuple(levels), cos_part, sin_part, factors, tuple(prefix_spans),
+                 kron_spans, halves, tuple(plan_runs), 16 * amplitudes)
 
 
 def _kron_bits(count: int) -> np.ndarray:
@@ -267,7 +361,7 @@ def _kron_bits(count: int) -> np.ndarray:
     return 2 * bits[:, :, None] + bits[:, None, :]
 
 
-_KRON_BITS = [None] + [_kron_bits(count) for count in range(1, FUSE_AXES + 1)]
+_KRON_BITS = [_kron_bits(count) for count in range(FUSE_AXES + 1)]
 
 
 def _axis_groups(axes: list[int]) -> list[list[int]]:
@@ -288,21 +382,22 @@ def _axis_groups(axes: list[int]) -> list[list[int]]:
 
 def _product_shape(first: int, count: int, n_axes: int) -> tuple[tuple[int, ...], bool]:
     # How a matrix on axes first..first+count-1 of a (2,)*n_axes block is
-    # applied: the block's shape for np.matmul, and whether the products run
-    # over columns. Each BLAS call does at most TILE_MACS multiply-adds,
-    # which keeps OpenBLAS 0.3.31 on the calling thread (it threads from
-    # about 2^16): on a shared two-core host one threaded (16x16)@(16x2^15)
-    # product took 8 ms against 0.15 ms on one thread.
+    # applied: the (B, ...) block's shape for np.matmul, and whether the
+    # products run over columns. Each BLAS call does at most TILE_MACS
+    # multiply-adds, which keeps OpenBLAS 0.3.31 on the calling thread (it
+    # threads from about 2^16): on a shared two-core host one threaded
+    # (16x16)@(16x2^15) product took 8 ms against 0.15 ms on one thread.
     dim = 1 << count
     outer, inner = 1 << first, 1 << (n_axes - first - count)
     tile = TILE_MACS // (dim * dim)
     if inner == 1:
         # Rows of ``dim`` contiguous amplitudes, ``tile`` rows per product.
-        return (-1, min(tile, outer), dim), False
+        rows = min(tile, outer)
+        return (-1, outer // rows, rows, dim), False
     # Columns of ``dim`` amplitudes ``inner`` apart, ``tile`` columns per
     # product.
     cols = min(tile, inner)
-    return (outer, dim, inner // cols, cols), True
+    return (-1, outer, dim, inner // cols, cols), True
 
 
 def probabilities(state: np.ndarray) -> np.ndarray:
@@ -313,50 +408,71 @@ def most_probable_state(state: np.ndarray) -> BasisOutcome:
     """The basis state maximizing |amplitude|^2; ties go to the lowest index.
 
     Probabilities at least ``p_max * (1 - TIE_TOL)`` tie with the maximum.
-    A state longer than READOUT_CHUNK is read chunk by chunk, so no 2^n
-    temporary is allocated; the tie decisions are the same either way.
+    The batch of one state of ``outcome_indices``.
     """
     n = num_qubits(state)
-    if len(state) <= READOUT_CHUNK:
-        base, probs = 0, probabilities(state)
-        threshold = probs.max() * (1.0 - TIE_TOL)
-    else:
-        base, probs, threshold = _first_tied_chunk(state)
-    # Mark the ties in place (1.0 or 0.0) rather than in a new mask: a mask
-    # allocated per hash slowed n=20 hashing by about 4%.
-    np.greater_equal(probs, threshold, out=probs)
-    idx = base + int(np.argmax(probs))  # the first tie
+    idx = int(outcome_indices(state[None])[0])
     amp = state[idx]
     return BasisOutcome(format(idx, f"0{n}b"), float(amp.real * amp.real + amp.imag * amp.imag))
 
 
-def _first_tied_chunk(state: np.ndarray) -> tuple[int, np.ndarray, float]:
-    # The offset and probabilities of the first READOUT_CHUNK-long chunk
-    # that holds a tie, and the tie threshold. Each chunk's probabilities
-    # are the same elementwise operations as over the whole state, and the
-    # maximum of the chunk maxima is the whole maximum, so every comparison
-    # with the threshold comes out as in one pass. They are written into one
-    # pair of buffers: three temporaries per chunk made an n=20 readout
-    # about twice as slow.
-    probs, imag = np.empty(READOUT_CHUNK), np.empty(READOUT_CHUNK)
+def outcome_indices(states: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """Per row of a (B, 2^n) block of states, the index the readout picks:
+    the lowest whose probability is at least ``p_max * (1 - TIE_TOL)``.
 
-    def chunk(lo: int) -> None:
-        part = state[lo:lo + READOUT_CHUNK]
-        np.multiply(part.real, part.real, out=probs)
-        np.multiply(part.imag, part.imag, out=imag)
-        np.add(probs, imag, out=probs)
+    The probabilities go into float buffers carved from ``scratch`` (a
+    (B, 2^n) complex array it may overwrite, such as simulate_batch's), or
+    else into one allocation of two chunks per row. A row longer than
+    READOUT_CHUNK is read chunk by chunk, so no 2^n temporary is allocated;
+    the tie decisions are the same either way.
+    """
+    rows, length = states.shape
+    chunk = min(length, READOUT_CHUNK)
+    buffer = np.empty((rows, 2 * chunk)) if scratch is None else scratch.view(np.float64)
+    probs, imag = buffer[:, :chunk], buffer[:, chunk:2 * chunk]
+    if length == chunk:
+        bases = None
+        _fill(states, probs, imag)
+        thresholds = probs.max(axis=1, keepdims=True) * (1.0 - TIE_TOL)
+    else:
+        bases, thresholds = _first_tied_chunks(states, probs, imag)
+    # Mark the ties in place (1.0 or 0.0) rather than in a new mask: a mask
+    # allocated per hash slowed n=20 hashing by about 4%.
+    np.greater_equal(probs, thresholds, out=probs)
+    indices = np.argmax(probs, axis=1)
+    return indices if bases is None else bases + indices
 
-    peaks = []
-    for lo in range(0, len(state), READOUT_CHUNK):
-        chunk(lo)
-        peaks.append(probs.max())
-    threshold = np.max(peaks) * (1.0 - TIE_TOL)
+
+def _fill(part: np.ndarray, probs: np.ndarray, imag: np.ndarray) -> None:
+    # The probabilities of ``part``, by the same IEEE operations as
+    # ``probabilities``.
+    np.multiply(part.real, part.real, out=probs)
+    np.multiply(part.imag, part.imag, out=imag)
+    np.add(probs, imag, out=probs)
+
+
+def _first_tied_chunks(states: np.ndarray, probs: np.ndarray,
+                       imag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Per row, the offset of the first chunk that holds a tie and, as a
+    # (B, 1) column, the tie threshold; probs is left holding those chunks.
+    # Each chunk's probabilities are the same elementwise operations as over
+    # the whole row, and the maximum of the chunk maxima is the row's
+    # maximum, so every comparison with the threshold comes out as in one
+    # pass. Three temporaries per chunk made an n=20 readout about twice as
+    # slow.
+    chunk = probs.shape[1]
+    peaks = np.empty((states.shape[1] // chunk, len(states)))
+    for k, lo in enumerate(range(0, states.shape[1], chunk)):
+        _fill(states[:, lo:lo + chunk], probs, imag)
+        probs.max(axis=1, out=peaks[k])
+    thresholds = peaks.max(axis=0) * (1.0 - TIE_TOL)
     # A NaN maximum ties nowhere; the readout then falls to index 0, as in
     # one pass.
-    first = next((k for k, peak in enumerate(peaks) if peak >= threshold), 0)
-    if first != len(peaks) - 1:  # probs holds the last chunk
-        chunk(first * READOUT_CHUNK)
-    return first * READOUT_CHUNK, probs, threshold
+    firsts = np.argmax(peaks >= thresholds, axis=0)
+    for row in np.flatnonzero(firsts != len(peaks) - 1):  # probs holds the last chunk
+        lo = int(firsts[row]) * chunk
+        _fill(states[row, lo:lo + chunk], probs[row], imag[row])
+    return firsts * chunk, thresholds[:, None]
 
 
 def sample_counts(state: np.ndarray, shots: int, seed: int | None = None) -> dict[str, int]:

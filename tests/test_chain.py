@@ -10,12 +10,12 @@ import qpow.chain as chain_mod
 from qpow.chain import (ZERO_HASH, Block, ChainFormatError, MiningExhausted,
                         NoisyBackend, block_from_dict, block_to_dict,
                         check_difficulty, check_structure, load_chain, make_genesis,
-                        mine_block, pack_bits, prove, qpow_hash, save_chain,
+                        mine_block, pack_bits, prove, prove_many, qpow_hash, save_chain,
                         serialize_text, verify_block, verify_chain)
 from qpow.circuit import CRX, Gate, ansatz_template, build_ansatz, count_two_qubit_gates
 from qpow.hashing import encode_angles, sha3_256
 from qpow.noise import NoiseParams, noisy_outcome
-from qpow.simulator import most_probable_state, simulate
+from qpow.simulator import batch_rows, most_probable_state, simulate
 
 PREV = sha3_256(b"previous block")
 
@@ -270,14 +270,14 @@ def test_verify_block_runs_one_simulation(monkeypatch):
     genesis = make_genesis(2, timestamp=0)
     block, _ = mine_block(genesis, "count sims", 1, 2, seed=10)
     calls = 0
-    real_simulate = chain_mod.simulate
+    real_simulate = chain_mod.simulate_batch
 
-    def counting(circuit, **kwargs):
+    def counting(template, n, angles, **kwargs):
         nonlocal calls
-        calls += 1
-        return real_simulate(circuit, **kwargs)
+        calls += len(angles)
+        return real_simulate(template, n, angles, **kwargs)
 
-    monkeypatch.setattr(chain_mod, "simulate", counting)
+    monkeypatch.setattr(chain_mod, "simulate_batch", counting)
     assert verify_block(block, genesis, 1)
     assert calls == 1
 
@@ -360,7 +360,7 @@ def test_check_structure_runs_no_simulation(monkeypatch):
         raise AssertionError("check_structure hashed or simulated")
 
     monkeypatch.setattr(chain_mod, "qpow_hash", no_simulation)
-    monkeypatch.setattr(chain_mod, "simulate", no_simulation)
+    monkeypatch.setattr(chain_mod, "simulate_batch", no_simulation)
     assert check_structure(chain) == ["ok"] * 5
     chain[0] = dataclasses.replace(chain[0], prev_hash=chain[1].pow_hash)
     chain[1] = dataclasses.replace(chain[1], nonce=-1)
@@ -371,6 +371,87 @@ def test_check_structure_runs_no_simulation(monkeypatch):
                                       "prev-hash", "index"]
     with pytest.raises(ValueError):
         check_structure([])
+
+
+@pytest.mark.parametrize("n_qubits", [2, 5, 12])
+def test_prove_many_equals_qpow_hash(n_qubits):
+    # More texts than a batch holds and not a multiple of it.
+    rows = batch_rows(ansatz_template(n_qubits), n_qubits)
+    texts = [f"many {n_qubits} {i}".encode() for i in range(2 * rows + 3)]
+    assert prove_many(texts, n_qubits) == [qpow_hash(text, n_qubits) for text in texts]
+    assert prove_many([], n_qubits) == []
+    with pytest.raises(ValueError):
+        prove_many(texts, 31)
+
+
+def _blocks_failing_at_batch_edges():
+    """An n=2 chain across three batches of proofs, failing every rule at or
+    next to the first and last block of a batch; also returns the chain
+    positions of the blocks that pass the structural rules."""
+    rows = batch_rows(ansatz_template(2), 2)
+    length = 2 * rows + 8
+    # verify_block holds a block to its stored predecessor's n_qubits, so a
+    # block unlike the genesis is placed before an index gap, whose blocks
+    # fail index first, or last.
+    structural = {rows - 3: "nonce-range", rows + 2: "prev-hash", 2 * rows + 3: "n-qubits",
+                  2 * rows + 4: "index", length - 1: "n-qubits-range"}
+    unsound = set(structural) | {2 * rows + 5}  # the block after an index gap fails index too
+    sound = [i for i in range(length) if i not in unsound]
+    edges = {0} | set(sound[::rows]) | set(sound[rows - 1::rows]) | {sound[-1]}
+    near = {sound[k + step] for k, i in enumerate(sound) if i in edges
+            for step in (-1, 1) if 0 <= k + step < len(sound)}
+    proof = {i: ("pow-hash", "difficulty")[k % 2] if i else "pow-hash"
+             for k, i in enumerate(sorted(edges | near))}
+    chain = [make_genesis(2, timestamp=0)]
+    for i in range(1, length):
+        for seed in range(100):
+            block, _ = mine_block(chain[-1], f"tx {i}", proof.get(i) != "difficulty", 2,
+                                  seed=1000 * i + seed)
+            if proof.get(i) != "difficulty" or not check_difficulty(block.pow_hash, 1):
+                break
+        chain.append(block)
+    for i, reason in proof.items():
+        if reason == "pow-hash":
+            chain[i] = dataclasses.replace(chain[i], payload=chain[i].payload + " (edited)")
+    edit = {"nonce-range": {"nonce": 1 << 32}, "prev-hash": {"prev_hash": ZERO_HASH},
+            "n-qubits": {"n_qubits": 3}, "n-qubits-range": {"n_qubits": 31},
+            "index": {"index": length + 5}}
+    for i, reason in structural.items():
+        chain[i] = dataclasses.replace(chain[i], **edit[reason])
+    return chain, sound
+
+
+def test_verdicts_across_batch_edges_equal_block_by_block_verdicts():
+    chain, sound = _blocks_failing_at_batch_edges()
+    checks = verify_chain(chain, 1).checks
+    expected = [verify_chain(chain[:1], 1).checks[0]]
+    expected += [verify_block(block, prev, 1) for prev, block in zip(chain, chain[1:])]
+    assert list(checks) == expected
+    reasons = [c.reason for c in checks]
+    assert {"ok", "index", "n-qubits", "prev-hash", "nonce-range", "pow-hash",
+            "difficulty"} == set(reasons)
+    assert reasons[0] == "pow-hash"
+    rows = batch_rows(ansatz_template(2), 2)
+    assert len(sound) > 2 * rows
+    for edge in sound[rows - 1], sound[rows], sound[2 * rows - 1], sound[2 * rows]:
+        assert reasons[edge] in ("pow-hash", "difficulty")
+
+
+def test_verify_chain_simulates_each_sound_block_once(monkeypatch):
+    chain, sound = _blocks_failing_at_batch_edges()
+    simulated = []
+    real_simulate = chain_mod.simulate_batch
+
+    def recording(template, n, angles, **kwargs):
+        assert len(angles) <= batch_rows(template, n)
+        simulated.extend(row.tobytes() for row in angles)
+        return real_simulate(template, n, angles, **kwargs)
+
+    monkeypatch.setattr(chain_mod, "simulate_batch", recording)
+    verify_chain(chain, 1)
+    expected = [encode_angles(sha3_256(serialize_text(b.nonce, b.payload, b.prev_hash))).tobytes()
+                for b in (chain[i] for i in sound)]
+    assert simulated == expected
 
 
 def test_chain_file_round_trip(tmp_path):

@@ -100,7 +100,7 @@ def test_mine_new_chain_over_the_memory_limit_is_refused_before_simulating(
     def no_simulation(*args, **kwargs):
         raise AssertionError("a genesis over the limit was simulated")
 
-    monkeypatch.setattr(chain_mod, "simulate", no_simulation)
+    monkeypatch.setattr(chain_mod, "simulate_batch", no_simulation)
     code, out, err = run(capsys, "mine", "--chain", str(chain_path), "--blocks", "1",
                          "--qubits", "3")
     assert code == 2
@@ -242,7 +242,7 @@ def n3_chain(tmp_path, capsys):
 def test_verify_refuses_a_chain_over_the_memory_limit_before_simulating(
         n3_chain, capsys, monkeypatch):
     monkeypatch.setattr(analysis_mod, "max_feasible_qubits", lambda: 2)
-    monkeypatch.setattr(chain_mod, "qpow_hash", _no_simulation)
+    monkeypatch.setattr(chain_mod, "simulate_batch", _no_simulation)
     code, out, err = run(capsys, "verify", "--chain", str(n3_chain))
     assert code == 2
     assert "memory" in err and "verification failed" not in err
@@ -258,7 +258,7 @@ def test_mine_refuses_an_existing_chain_over_the_memory_limit_before_simulating(
         n3_chain, capsys, monkeypatch):
     before = n3_chain.read_bytes()
     monkeypatch.setattr(analysis_mod, "max_feasible_qubits", lambda: 2)
-    monkeypatch.setattr(chain_mod, "simulate", _no_simulation)
+    monkeypatch.setattr(chain_mod, "simulate_batch", _no_simulation)
     code, out, err = run(capsys, "mine", "--chain", str(n3_chain), "--blocks", "1")
     assert code == 2
     assert "memory" in err and "attempts" not in out
@@ -267,10 +267,34 @@ def test_mine_refuses_an_existing_chain_over_the_memory_limit_before_simulating(
 
 def test_hash_refuses_qubits_over_the_memory_limit_before_simulating(capsys, monkeypatch):
     monkeypatch.setattr(analysis_mod, "max_feasible_qubits", lambda: 2)
-    monkeypatch.setattr(chain_mod, "simulate", _no_simulation)
+    monkeypatch.setattr(chain_mod, "simulate_batch", _no_simulation)
     code, out, err = run(capsys, "hash", "x", "--qubits", "3")
     assert code == 2
     assert "memory" in err and out == ""
+
+
+@pytest.mark.parametrize("command", ["verify", "mine"])
+def test_a_chain_file_too_big_to_parse_is_refused_before_parsing(n3_chain, capsys, monkeypatch,
+                                                                command):
+    before = n3_chain.read_bytes()
+    # Parsing needs CHAIN_PARSE_FACTOR times the file; half of this is less.
+    monkeypatch.setattr(analysis_mod, "available_memory_bytes",
+                        lambda: analysis_mod.CHAIN_PARSE_FACTOR * len(before) * 2 - 2)
+
+    def no_parse(*args, **kwargs):
+        raise AssertionError("a chain file over the memory limit was parsed")
+
+    monkeypatch.setattr(cli_mod, "load_chain", no_parse)
+    monkeypatch.setattr(chain_mod, "simulate_batch", _no_simulation)
+    code, out, err = run(capsys, command, "--chain", str(n3_chain))
+    assert code == 2
+    assert "memory" in err and "mined blocks pass" not in out and "attempts" not in out
+    assert n3_chain.read_bytes() == before
+
+    monkeypatch.setattr(analysis_mod, "available_memory_bytes",
+                        lambda: analysis_mod.CHAIN_PARSE_FACTOR * len(before) * 2)
+    with pytest.raises(AssertionError, match="parsed"):
+        run(capsys, command, "--chain", str(n3_chain))
 
 
 def test_verify_missing_file_is_io_error(tmp_path, capsys):

@@ -5,9 +5,9 @@ import pytest
 
 from qpow.circuit import CRX, RX, RZ, Circuit, Gate, ansatz_template, build_ansatz
 from qpow.hashing import encode_angles, sha3_256
-from qpow.simulator import (PLAN_CACHE, READOUT_CHUNK, TIE_TOL, _plan, histogram_csv,
-                            most_probable_state, num_qubits, probabilities, sample_counts,
-                            simulate)
+from qpow.simulator import (BATCH_BYTES, PLAN_CACHE, READOUT_CHUNK, TIE_TOL, _plan, batch_rows,
+                            histogram_csv, most_probable_state, num_qubits, outcome_indices,
+                            probabilities, sample_counts, simulate, simulate_batch)
 
 from oracles import (argmax_exhaustive, outcome_index, simulate_dense,
                      simulate_product_prefix)
@@ -295,6 +295,53 @@ def test_chunked_readout_matches_one_array_rule(name):
     assert num_qubits(state) == 17 and len(state) > READOUT_CHUNK
     outcome = most_probable_state(state)
     assert (outcome.bits, outcome.probability) == one_array_readout(state)
+
+
+def top_two_gap(state: np.ndarray) -> float:
+    second, first = np.partition(probabilities(state), -2)[-2:]
+    return (first - second) / first
+
+
+@pytest.mark.parametrize("n, rows", [(2, 37), (4, 13), (8, 11), (12, 7)])
+def test_batched_outcomes_equal_scalar_outcomes(n, rows):
+    # 1000 digests per n in batches that do not divide it, so the last batch
+    # is short; the scalar path is simulate and most_probable_state.
+    digests = [sha3_256(f"batch {n} {i}".encode()) for i in range(1000)]
+    angles = np.array([encode_angles(d) for d in digests])
+    template = ansatz_template(n)
+    near_ties = 0
+    for lo in range(0, len(digests), rows):
+        states, scratch = simulate_batch(template, n, angles[lo:lo + rows])
+        for row, state in enumerate(states):
+            circuit = build_ansatz(angles[lo + row], n)
+            scalar = simulate(circuit)
+            np.testing.assert_allclose(state, scalar, rtol=0, atol=1e-12)
+            near_ties += top_two_gap(scalar) < 1e-6
+        expected = [int(most_probable_state(state).bits, 2) for state in states]
+        # outcome_indices overwrites the scratch with the probabilities.
+        assert outcome_indices(states, scratch).tolist() == expected
+        assert outcome_indices(states).tolist() == expected
+    assert len(digests) % rows
+    if n == 12:
+        assert near_ties > 100  # the rule decides these, not rounding
+
+
+def test_batch_norm_check_is_per_row():
+    template = ansatz_template(3)
+    angles = np.array([encode_angles(sha3_256(b"norm row %d" % i)) for i in range(5)])
+    simulate_batch(template, 3, angles, check_norm=True)
+    angles[3, 4] = math.nan  # the first crx of row 3
+    with pytest.raises(RuntimeError, match="norm of row 3"):
+        simulate_batch(template, 3, angles, check_norm=True)
+
+
+def test_batch_rows_keep_a_batch_within_its_bytes():
+    rows = {n: batch_rows(ansatz_template(n), n) for n in range(2, 21)}
+    for n, count in rows.items():
+        assert count == 1 or count * _plan(ansatz_template(n), n).row_bytes <= BATCH_BYTES
+    assert rows[12] == 8
+    # From n = 15 on no two circuits fit, and every batch is one circuit.
+    assert [n for n, count in rows.items() if count == 1] == list(range(15, 21))
 
 
 def ansatz_with_nan_at(index: int):
