@@ -12,7 +12,7 @@ from .analysis import (AdvantageModel, BenchRecord, CrossoverScan, advantage,
 from .chain import (Block, ChainFormatError, ChainVerification, MiningExhausted,
                     NoisyBackend, Proof, Verdict, check_difficulty, check_structure,
                     load_chain, make_genesis, mine_block, pack_bits, prove, qpow_hash,
-                    save_chain, serialize_text, verify_block, verify_chain)
+                    save_chain, serialize_text, verify_chain)
 from .circuit import Circuit, Gate, build_ansatz, count_two_qubit_gates, format_circuit
 from .hashing import encode_angles, nibbles, sha3_256
 from .noise import (NoiseParams, accuracy_estimate, emulated_match_rate,

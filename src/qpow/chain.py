@@ -15,7 +15,6 @@ import contextlib
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -33,8 +32,9 @@ MAX_DIFFICULTY = 2 * DIGEST_SIZE
 DEFAULT_MAX_ATTEMPTS = 1 << 20
 GENESIS_PAYLOAD = "genesis"
 
-# Nonces are drawn in independently seeded chunks of this size so that the
-# parallel search visits the same stream as the sequential one.
+# Nonces are drawn in independently seeded chunks of this size. The chunk
+# seeding fixes the stream, so a search that scans it in batches of chunks
+# makes the same attempts in the same order as the one-at-a-time loop.
 NONCE_CHUNK = 32
 
 
@@ -186,11 +186,16 @@ def qpow_hash(text: bytes, n_qubits: int, backend: NoisyBackend | None = None) -
     return prove(text, n_qubits, backend).h2
 
 
-def check_difficulty(digest: bytes, difficulty: int) -> bool:
-    """True iff the hex rendering starts with ``difficulty`` zero characters."""
+def require_difficulty(difficulty: int) -> int:
+    """Return ``difficulty``; raise ValueError unless it is in [0, MAX_DIFFICULTY]."""
     if not 0 <= difficulty <= MAX_DIFFICULTY:
         raise ValueError(f"difficulty must be in [0, {MAX_DIFFICULTY}], got {difficulty}")
-    return check_digest(digest).hex().startswith("0" * difficulty)
+    return difficulty
+
+
+def check_difficulty(digest: bytes, difficulty: int) -> bool:
+    """True iff the hex rendering starts with ``difficulty`` zero characters."""
+    return check_digest(digest).hex().startswith("0" * require_difficulty(difficulty))
 
 
 def make_genesis(n_qubits: int = 4, timestamp: int | None = None) -> Block:
@@ -200,57 +205,29 @@ def make_genesis(n_qubits: int = 4, timestamp: int | None = None) -> Block:
     return Block(0, ts, ZERO_HASH, GENESIS_PAYLOAD, 0, n_qubits, pow_hash)
 
 
-def _nonce_chunk(seed: int, chunk_index: int, size: int) -> np.ndarray:
-    seq = np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,))
-    return np.random.default_rng(seq).integers(0, 1 << NONCE_BITS, size=size, dtype=np.uint64)
-
-
-def _scan_chunk(args: tuple) -> tuple[int, int, bytes] | None:
-    # One chunk of the nonce stream: (offset, nonce, digest) of its first hit.
-    payload, prev_hash, n_qubits, difficulty, backend, seed, chunk_index, size = args
-    for offset, nonce in enumerate(_nonce_chunk(seed, chunk_index, size)):
-        digest = qpow_hash(serialize_text(int(nonce), payload, prev_hash), n_qubits, backend)
-        if check_difficulty(digest, difficulty):
-            return offset, int(nonce), digest
-    return None
-
-
 def mine_block(prev: Block, payload: str, difficulty: int, n_qubits: int,
                backend: NoisyBackend | None = None, seed: int = 0,
-               max_attempts: int = DEFAULT_MAX_ATTEMPTS, jobs: int = 1) -> tuple[Block, int]:
+               max_attempts: int = DEFAULT_MAX_ATTEMPTS) -> tuple[Block, int]:
     """Draw random nonces until the proof passes the difficulty test.
 
     Returns the mined block and the number of attempts spent; raises
-    MiningExhausted past ``max_attempts``. Chunks of the nonce stream are
-    scanned in order, in waves of ``2 * jobs``; with ``jobs`` > 1 each wave
-    fans out to worker processes (exact backend only). The mined block is
-    identical for any job count because the earliest successful attempt wins
-    regardless of completion order.
+    MiningExhausted past ``max_attempts``. The nonces come in seeded chunks
+    of NONCE_CHUNK and are hashed one at a time, in order, so the earliest
+    hit wins and a stateful backend sees exactly the attempts up to it.
     """
+    require_difficulty(difficulty)
     if max_attempts < 1:
         raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if jobs > 1 and backend is not None:
-        raise ValueError("parallel nonce search supports the exact backend only")
-
-    n_chunks = (max_attempts + NONCE_CHUNK - 1) // NONCE_CHUNK
-    wave = 2 * jobs
-    # Builtin map is lazy, so a sequential search stops at the first hit and a
-    # stateful backend sees exactly the attempts up to it.
-    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
-    with pool or contextlib.nullcontext():
-        scan = map if pool is None else pool.map
-        for start in range(0, n_chunks, wave):
-            batch = range(start, min(start + wave, n_chunks))
-            args = ((payload, prev.pow_hash, n_qubits, difficulty, backend, seed, ci,
-                     min(NONCE_CHUNK, max_attempts - ci * NONCE_CHUNK)) for ci in batch)
-            for ci, found in zip(batch, scan(_scan_chunk, args)):
-                if found is not None:
-                    offset, nonce, digest = found
-                    block = Block(prev.index + 1, int(time.time()), prev.pow_hash,
-                                  payload, nonce, n_qubits, digest)
-                    return block, ci * NONCE_CHUNK + offset + 1
+    for start in range(0, max_attempts, NONCE_CHUNK):
+        seq = np.random.SeedSequence(entropy=seed, spawn_key=(start // NONCE_CHUNK,))
+        nonces = np.random.default_rng(seq).integers(
+            0, 1 << NONCE_BITS, size=min(NONCE_CHUNK, max_attempts - start), dtype=np.uint64)
+        for offset, nonce in enumerate(nonces.tolist()):
+            digest = qpow_hash(serialize_text(nonce, payload, prev.pow_hash), n_qubits, backend)
+            if check_difficulty(digest, difficulty):
+                block = Block(prev.index + 1, int(time.time()), prev.pow_hash,
+                              payload, nonce, n_qubits, digest)
+                return block, start + offset + 1
     raise MiningExhausted(max_attempts)
 
 
@@ -273,34 +250,31 @@ def _structure(block: Block, prev: Block | None, n_qubits: int) -> str:
     return "ok"
 
 
-def _judge(pairs: list[tuple[Block | None, Block]], n_qubits: int,
-           difficulty: int | None) -> list[str]:
-    """Per (prev, block) pair, the first rule the block breaks, or "ok".
+def _judge(chain: list[Block], difficulty: int | None) -> list[str]:
+    """Per block, the first rule it breaks, or "ok".
 
-    The structural rules come first, for every block. Unless ``difficulty``
-    is None, the proofs of the blocks that pass them, all of ``n_qubits``,
-    are then re-derived in order with the exact backend, one simulation
-    each, and pow-hash and (not for the genesis) difficulty are applied.
+    The structural rules come first, for every block, each held to the
+    genesis's qubit count. Unless ``difficulty`` is None, the proofs of the
+    blocks that pass them are then re-derived in order with the exact
+    backend, one simulation each, and pow-hash and (not for the genesis)
+    difficulty are applied.
     """
-    reasons = [_structure(block, prev, n_qubits) for prev, block in pairs]
-    if difficulty is None or "ok" not in reasons:
-        return reasons
-    sound = [i for i, reason in enumerate(reasons) if reason == "ok"]
-    texts = [serialize_text(block.nonce, block.payload, block.prev_hash)
-             for block in (pairs[i][1] for i in sound)]
-    for i, h2 in zip(sound, prove_many(texts, n_qubits)):
-        prev, block = pairs[i]
-        if h2 != block.pow_hash:
-            reasons[i] = "pow-hash"
-        elif prev is not None and not check_difficulty(block.pow_hash, difficulty):
-            reasons[i] = "difficulty"
-    return reasons
-
-
-def _judge_chain(chain: list[Block], difficulty: int | None) -> list[str]:
     if not chain:
         raise ValueError("chain must be non-empty")
-    return _judge(list(zip([None, *chain], chain)), chain[0].n_qubits, difficulty)
+    if difficulty is not None:
+        require_difficulty(difficulty)
+    n_qubits = chain[0].n_qubits
+    reasons = [_structure(block, prev, n_qubits) for prev, block in zip([None, *chain], chain)]
+    sound = [i for i, reason in enumerate(reasons) if reason == "ok"]
+    if difficulty is None or not sound:
+        return reasons
+    texts = [serialize_text(chain[i].nonce, chain[i].payload, chain[i].prev_hash) for i in sound]
+    for i, h2 in zip(sound, prove_many(texts, n_qubits)):
+        if h2 != chain[i].pow_hash:
+            reasons[i] = "pow-hash"
+        elif i > 0 and not check_difficulty(h2, difficulty):
+            reasons[i] = "difficulty"
+    return reasons
 
 
 def check_structure(chain: list[Block]) -> list[str]:
@@ -308,32 +282,24 @@ def check_structure(chain: list[Block]) -> list[str]:
 
     These are genesis-structure, index, n-qubits, prev-hash and nonce-range.
     """
-    return _judge_chain(chain, None)
-
-
-def verify_block(block: Block, prev: Block, difficulty: int) -> Verdict:
-    """Judge a mined block against its predecessor; at most one simulation.
-
-    The boolean verdict carries a reason code: index, n-qubits, prev-hash,
-    nonce-range, pow-hash, difficulty, or ok. A block outside
-    [MIN_QUBITS, MAX_QUBITS] is judged n-qubits before anything is allocated.
-    """
-    [reason] = _judge([(prev, block)], prev.n_qubits, difficulty)
-    return Verdict(block.index, reason == "ok", reason)
+    return _judge(chain, None)
 
 
 def verify_chain(chain: list[Block], difficulty: int) -> ChainVerification:
-    """Check the genesis structure and every adjacent pair of blocks.
+    """Judge every block: the genesis's structure and each adjacent pair.
 
     Each mined block is judged independently against its stored predecessor,
     so one bad block does not mask the verdicts of the blocks after it. The
-    proofs of the structurally sound blocks are re-derived in batches, one
-    simulation per block.
-    The genesis is held to structure and proof re-derivation, not difficulty.
-    Every block must use the genesis's qubit count, in [MIN_QUBITS, MAX_QUBITS];
-    verdicts never depend on the host, whose memory the caller checks first.
+    reason codes are genesis-structure, index, n-qubits, prev-hash,
+    nonce-range, pow-hash, difficulty, or ok. The structural rules allocate
+    nothing; the proofs of the blocks that pass them are re-derived in
+    batches, one simulation per block. The genesis is held to structure and
+    proof re-derivation, not difficulty. Every block must use the genesis's
+    qubit count, in [MIN_QUBITS, MAX_QUBITS]; verdicts never depend on the
+    host, whose memory the caller checks first. A difficulty outside
+    [0, MAX_DIFFICULTY] raises ValueError before anything is judged.
     """
-    reasons = _judge_chain(chain, difficulty)
+    reasons = _judge(chain, difficulty)
     checks = tuple(Verdict(b.index, r == "ok", r) for b, r in zip(chain, reasons))
     return ChainVerification(all(checks), checks)
 

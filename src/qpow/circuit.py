@@ -97,9 +97,10 @@ class Circuit:
 
 @functools.lru_cache(maxsize=4096)
 def _gate(slot: Slot, angle: float) -> Gate:
-    # Gate records are immutable, so circuits share them; an ansatz has at
-    # most 64 slots x 16 angle levels per n. Building 64 fresh records took
-    # 75 us, about a twelfth of an n=4 hash.
+    # No hash builds Gate records; the cache serves the readers of
+    # ``Circuit.gates`` (the traced benchmark replay's probe and the tests).
+    # Records are immutable, so circuits share them; an ansatz has at most
+    # 64 slots x 16 angle levels per n.
     kind, target, control = slot
     return Gate(kind, target, angle, control)
 

@@ -15,7 +15,7 @@ from .analysis import (DEFAULT_MODEL, advantage_csv, bench_csv, bench_simulator,
                        check_bench_feasible, check_chain_file_feasible, find_crossover)
 from .chain import (DEFAULT_MAX_ATTEMPTS, Block, ChainFormatError, MiningExhausted,
                     NoisyBackend, check_structure, load_chain, make_genesis, mine_block,
-                    prove, save_chain, verify_chain)
+                    prove, require_difficulty, save_chain, verify_chain)
 from .circuit import MAX_QUBITS, MIN_QUBITS, format_circuit
 from .hashing import nibbles
 from .noise import (PRESET_IDEAL, PRESET_TRANSPILED_QUITO, NoiseParams,
@@ -43,6 +43,9 @@ def _make_backend(args: argparse.Namespace, n_qubits: int) -> NoisyBackend | Non
 
 
 def cmd_mine(args: argparse.Namespace) -> int:
+    if args.blocks < 0:
+        raise ValueError(f"--blocks must be >= 0, got {args.blocks}")
+    require_difficulty(args.difficulty)
     existing = os.path.exists(args.chain)
     if existing:
         check_chain_file_feasible(args.chain)
@@ -70,7 +73,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
             block, attempts = mine_block(
                 prev, f"tx {prev.index + 1}", args.difficulty, n_qubits,
                 backend=backend, seed=args.seed + prev.index + 1,
-                max_attempts=args.max_attempts, jobs=args.jobs)
+                max_attempts=args.max_attempts)
             elapsed = time.perf_counter() - start
             chain.append(block)
             print(f"block {block.index}: nonce {block.nonce} after {attempts} attempts "
@@ -173,8 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     mine.add_argument("--noise-preset", choices=[PRESET_IDEAL, PRESET_TRANSPILED_QUITO],
                       default=PRESET_TRANSPILED_QUITO)
     mine.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    mine.add_argument("--jobs", type=int, default=1,
-                      help="worker processes for the nonce search (exact backend)")
     mine.add_argument("--max-attempts", type=int, default=DEFAULT_MAX_ATTEMPTS)
     mine.set_defaults(func=cmd_mine)
 

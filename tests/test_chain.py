@@ -11,7 +11,7 @@ from qpow.chain import (ZERO_HASH, Block, ChainFormatError, MiningExhausted,
                         NoisyBackend, block_from_dict, block_to_dict,
                         check_difficulty, check_structure, load_chain, make_genesis,
                         mine_block, pack_bits, prove, prove_many, qpow_hash, save_chain,
-                        serialize_text, verify_block, verify_chain)
+                        serialize_text, verify_chain)
 from qpow.circuit import CRX, Gate, ansatz_template, build_ansatz, count_two_qubit_gates
 from qpow.hashing import encode_angles, sha3_256
 from qpow.noise import NoiseParams, noisy_outcome
@@ -196,7 +196,7 @@ def test_mine_verify_round_trip():
     block, attempts = mine_block(genesis, "round trip", 1, 2, seed=4)
     assert attempts >= 1
     assert check_difficulty(block.pow_hash, 1)
-    assert verify_block(block, genesis, 1)
+    assert verify_chain([genesis, block], 1)
 
 
 def test_mine_exhaustion_raises_with_attempt_count():
@@ -206,20 +206,12 @@ def test_mine_exhaustion_raises_with_attempt_count():
     assert excinfo.value.attempts == 8
 
 
-def test_parallel_mining_matches_sequential():
-    genesis = make_genesis(2, timestamp=0)
-    seq, seq_attempts = mine_block(genesis, "parallel", 1, 2, seed=6, jobs=1)
-    par, par_attempts = mine_block(genesis, "parallel", 1, 2, seed=6, jobs=2)
-    assert (seq.nonce, seq.pow_hash) == (par.nonce, par.pow_hash)
-    assert seq_attempts == par_attempts
-
-
-def _mine_pinned(n_qubits, n_blocks, seed, backend=None, jobs=1):
+def _mine_pinned(n_qubits, n_blocks, seed, backend=None):
     prev = make_genesis(n_qubits, timestamp=0)
     mined = []
     for i in range(n_blocks):
         prev, attempts = mine_block(prev, f"tx {i + 1}", 2, n_qubits, backend=backend,
-                                    seed=seed + i, jobs=jobs)
+                                    seed=seed + i)
         mined.append((prev.nonce, prev.pow_hash.hex(), attempts))
     return mined
 
@@ -238,48 +230,48 @@ def test_mining_pinned_nonce_stream():
         (2732754371, "00755263bb1d8c1990d22f75349ab0f01e33812622e3379ebb7b9133d22361b7", 210),
         (2925690814, "00365615c7904a0d314944098c63bc43f7e66bf2f50dff0fbab5baa3116bc3d5", 270),
     ]
-    assert _mine_pinned(3, 1, seed=31, jobs=2) == [
+    assert _mine_pinned(3, 1, seed=31) == [
         (514822950, "00cb50b169098e7627bd0363d8f2c04253acb986cf2ff317b71ee144458f9489", 542),
     ]
 
 
-def test_parallel_noisy_mining_rejected():
-    genesis = make_genesis(2, timestamp=0)
-    with pytest.raises(ValueError):
-        mine_block(genesis, "x", 1, 2, backend=NoisyBackend(NoiseParams()), jobs=2)
-
-
 def test_verify_block_reason_codes():
+    # One mined block after its genesis, judged by verify_chain.
     genesis = make_genesis(2, timestamp=0)
     block, _ = mine_block(genesis, "verify me", 1, 2, seed=8)
 
+    def reason(mined):
+        return verify_chain([genesis, mined], 1).checks[1].reason
+
     tampered_payload = Block(block.index, block.timestamp, block.prev_hash,
                              "tampered", block.nonce, block.n_qubits, block.pow_hash)
-    assert verify_block(tampered_payload, genesis, 1).reason == "pow-hash"
+    assert reason(tampered_payload) == "pow-hash"
 
     wrong_prev = Block(block.index, block.timestamp, sha3_256(b"other"),
                        block.payload, block.nonce, block.n_qubits, block.pow_hash)
-    assert verify_block(wrong_prev, genesis, 1).reason == "prev-hash"
+    assert reason(wrong_prev) == "prev-hash"
 
     easy, _ = mine_block(genesis, "easy", 0, 2, seed=9)
     if not check_difficulty(easy.pow_hash, 1):
-        assert verify_block(easy, genesis, 1).reason == "difficulty"
+        assert reason(easy) == "difficulty"
 
 
-def test_verify_block_runs_one_simulation(monkeypatch):
-    genesis = make_genesis(2, timestamp=0)
-    block, _ = mine_block(genesis, "count sims", 1, 2, seed=10)
-    calls = 0
-    real_simulate = chain_mod.simulate_batch
+def _no_simulation(*args, **kwargs):
+    raise AssertionError("hashed or simulated")
 
-    def counting(template, n, angles, **kwargs):
-        nonlocal calls
-        calls += len(angles)
-        return real_simulate(template, n, angles, **kwargs)
 
-    monkeypatch.setattr(chain_mod, "simulate_batch", counting)
-    assert verify_block(block, genesis, 1)
-    assert calls == 1
+@pytest.mark.parametrize("difficulty", [-3, 65, 99])
+def test_out_of_range_difficulty_is_refused_before_simulating(monkeypatch, difficulty):
+    chain = mined_chain(2)
+    monkeypatch.setattr(chain_mod, "simulate_batch", _no_simulation)
+    for judged in chain[:1], chain:
+        with pytest.raises(ValueError, match="difficulty"):
+            verify_chain(judged, difficulty)
+    with pytest.raises(ValueError, match="difficulty"):
+        mine_block(chain[-1], "x", difficulty, 2)
+    with pytest.raises(ValueError, match="difficulty"):
+        check_difficulty(chain[-1].pow_hash, difficulty)
+    assert check_structure(chain) == ["ok"] * 3
 
 
 def test_verify_chain_genesis_only():
@@ -327,8 +319,6 @@ def test_verify_chain_n_qubits_is_a_verdict(position, n_qubits):
         assert [c.reason for c in result.checks] == ["n-qubits"] * 4
     else:
         assert [c.reason for c in result.checks] == ["ok", "ok", "n-qubits", "ok"]
-        if n_qubits != 3:
-            assert verify_block(chain[2], chain[1], 1).reason == "n-qubits"
 
 
 def test_verify_chain_detects_index_gap():
@@ -355,12 +345,8 @@ def test_verify_chain_bad_genesis_structure():
 
 def test_check_structure_runs_no_simulation(monkeypatch):
     chain = mined_chain(4)
-
-    def no_simulation(*args, **kwargs):
-        raise AssertionError("check_structure hashed or simulated")
-
-    monkeypatch.setattr(chain_mod, "qpow_hash", no_simulation)
-    monkeypatch.setattr(chain_mod, "simulate_batch", no_simulation)
+    monkeypatch.setattr(chain_mod, "qpow_hash", _no_simulation)
+    monkeypatch.setattr(chain_mod, "simulate_batch", _no_simulation)
     assert check_structure(chain) == ["ok"] * 5
     chain[0] = dataclasses.replace(chain[0], prev_hash=chain[1].pow_hash)
     chain[1] = dataclasses.replace(chain[1], nonce=-1)
@@ -386,15 +372,13 @@ def test_prove_many_equals_qpow_hash(n_qubits):
 
 def _blocks_failing_at_batch_edges():
     """An n=2 chain across three batches of proofs, failing every rule at or
-    next to the first and last block of a batch; also returns the chain
-    positions of the blocks that pass the structural rules."""
+    next to the first and last block of a batch, with both kinds of n-qubits
+    edit mid-batch before a sound block; also returns the chain positions of
+    the blocks that pass the structural rules."""
     rows = batch_rows(ansatz_template(2), 2)
     length = 2 * rows + 8
-    # verify_block holds a block to its stored predecessor's n_qubits, so a
-    # block unlike the genesis is placed before an index gap, whose blocks
-    # fail index first, or last.
-    structural = {rows - 3: "nonce-range", rows + 2: "prev-hash", 2 * rows + 3: "n-qubits",
-                  2 * rows + 4: "index", length - 1: "n-qubits-range"}
+    structural = {rows // 2: "n-qubits", rows - 3: "nonce-range", rows + 2: "prev-hash",
+                  rows + rows // 2: "n-qubits-range", 2 * rows + 4: "index"}
     unsound = set(structural) | {2 * rows + 5}  # the block after an index gap fails index too
     sound = [i for i in range(length) if i not in unsound]
     edges = {0} | set(sound[::rows]) | set(sound[rows - 1::rows]) | {sound[-1]}
@@ -421,16 +405,27 @@ def _blocks_failing_at_batch_edges():
     return chain, sound
 
 
-def test_verdicts_across_batch_edges_equal_block_by_block_verdicts():
+def test_verdicts_across_batch_edges_equal_block_by_block_verdicts(monkeypatch):
     chain, sound = _blocks_failing_at_batch_edges()
     checks = verify_chain(chain, 1).checks
-    expected = [verify_chain(chain[:1], 1).checks[0]]
-    expected += [verify_block(block, prev, 1) for prev, block in zip(chain, chain[1:])]
-    assert list(checks) == expected
+    # The reference judges every proof in a batch of one.
+    real_simulate = chain_mod.simulate_batch
+
+    def one_row(template, n, angles, **kwargs):
+        assert len(angles) == 1
+        return real_simulate(template, n, angles, **kwargs)
+
+    monkeypatch.setattr(chain_mod, "batch_rows", lambda template, n: 1)
+    monkeypatch.setattr(chain_mod, "simulate_batch", one_row)
+    assert checks == verify_chain(chain, 1).checks
     reasons = [c.reason for c in checks]
     assert {"ok", "index", "n-qubits", "prev-hash", "nonce-range", "pow-hash",
             "difficulty"} == set(reasons)
     assert reasons[0] == "pow-hash"
+    edited = [i for i, block in enumerate(chain) if block.n_qubits != 2]
+    assert len(edited) == 2
+    for i in edited:
+        assert reasons[i:i + 2] == ["n-qubits", "ok"]
     rows = batch_rows(ansatz_template(2), 2)
     assert len(sound) > 2 * rows
     for edge in sound[rows - 1], sound[rows], sound[2 * rows - 1], sound[2 * rows]:

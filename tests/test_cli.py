@@ -139,16 +139,6 @@ def test_mine_deterministic_under_seed(tmp_path, capsys):
         assert (a.nonce, a.pow_hash, a.payload) == (b.nonce, b.pow_hash, b.payload)
 
 
-def test_mine_parallel_jobs_match_sequential(tmp_path, capsys):
-    seq_path = str(tmp_path / "seq.json")
-    par_path = str(tmp_path / "par.json")
-    assert run(capsys, "mine", "--chain", seq_path, "--blocks", "1",
-               "--qubits", "2", "--seed", "5")[0] == 0
-    assert run(capsys, "mine", "--chain", par_path, "--blocks", "1",
-               "--qubits", "2", "--seed", "5", "--jobs", "2")[0] == 0
-    assert load_chain(seq_path)[1].pow_hash == load_chain(par_path)[1].pow_hash
-
-
 def test_mining_failure_exit_code(tmp_path, capsys):
     chain_path = str(tmp_path / "hard.json")
     code, _, err = run(capsys, "mine", "--chain", chain_path, "--blocks", "1",
@@ -271,6 +261,40 @@ def test_hash_refuses_qubits_over_the_memory_limit_before_simulating(capsys, mon
     code, out, err = run(capsys, "hash", "x", "--qubits", "3")
     assert code == 2
     assert "memory" in err and out == ""
+
+
+def _not_judged(*args, **kwargs):
+    raise AssertionError("simulated under a refused argument")
+
+
+@pytest.mark.parametrize("difficulty", ["-3", "65", "99"])
+def test_verify_refuses_an_out_of_range_difficulty_before_simulating(n3_chain, tmp_path, capsys,
+                                                                    monkeypatch, difficulty):
+    genesis_only = tmp_path / "genesis.json"
+    genesis_only.write_text(json.dumps(json.loads(n3_chain.read_text())[:1]))
+    monkeypatch.setattr(chain_mod, "simulate_batch", _not_judged)
+    for path in genesis_only, n3_chain:
+        code, out, err = run(capsys, "verify", "--chain", str(path), "--difficulty", difficulty)
+        assert code == 2
+        assert "difficulty must be in [0, 64]" in err and out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(("--difficulty", "99"), "difficulty must be in [0, 64]", id="difficulty-99"),
+    pytest.param(("--difficulty", "-3"), "difficulty must be in [0, 64]", id="difficulty-minus-3"),
+    pytest.param(("--blocks", "-2"), "--blocks must be >= 0", id="blocks-minus-2"),
+])
+def test_mine_refuses_an_out_of_range_argument_before_writing(n3_chain, tmp_path, capsys,
+                                                              monkeypatch, argv, message):
+    monkeypatch.setattr(chain_mod, "simulate_batch", _not_judged)
+    new_path = tmp_path / "new.json"
+    code, out, err = run(capsys, "mine", "--chain", str(new_path), *argv)
+    assert code == 2
+    assert message in err
+    assert out == "" and not new_path.exists()
+    before = n3_chain.read_bytes()
+    assert run(capsys, "mine", "--chain", str(n3_chain), *argv)[0] == 2
+    assert n3_chain.read_bytes() == before
 
 
 @pytest.mark.parametrize("command", ["verify", "mine"])
