@@ -24,7 +24,7 @@ from .circuit import (MAX_QUBITS, MIN_QUBITS, Circuit, ansatz_template, build_an
                       count_two_qubit_gates)
 from .hashing import DIGEST_SIZE, check_digest, encode_angles, sha3_256
 from .noise import NoiseParams, noisy_outcome
-from .simulator import batch_rows, outcome_indices, simulate_batch
+from .simulator import batch_rows, outcome_indices, simulate_batch, to_basis
 
 ZERO_HASH = bytes(DIGEST_SIZE)
 NONCE_BITS = 32
@@ -61,6 +61,8 @@ class NoisyBackend:
         self._rng = np.random.default_rng(params.seed)
 
     def outcome(self, state: np.ndarray, circuit: Circuit) -> str:
+        """One noisy readout of ``state``. It reads only the state's
+        probabilities, so a state in the simulator's frame gives the same bits."""
         cnots = self.params.effective_cnots
         if cnots is None:
             cnots = float(count_two_qubit_gates(circuit))
@@ -149,8 +151,17 @@ def prove(text: bytes, n_qubits: int, backend: NoisyBackend | None = None) -> Pr
     """The full proof pipeline: sha3 -> angles -> ansatz -> outcome -> sha3.
 
     ``backend`` None is the exact backend: the simulator's most-probable state.
-    The circuit runs as a batch of one, through the kernel ``prove_many`` uses.
+    The circuit runs as a batch of one, through the kernel ``prove_many`` uses;
+    ``state`` holds its computational-basis amplitudes.
     """
+    proof = _prove(text, n_qubits, backend)
+    to_basis(proof.state)
+    return proof
+
+
+def _prove(text: bytes, n_qubits: int, backend: NoisyBackend | None) -> Proof:
+    # ``prove`` with the state left in the simulator's frame: every stage
+    # after it reads only probabilities, which the frame does not change.
     h1 = sha3_256(text)
     angles = encode_angles(h1)
     circuit = build_ansatz(angles, n_qubits)
@@ -183,7 +194,7 @@ def prove_many(texts: Sequence[bytes], n_qubits: int) -> list[bytes]:
 
 def qpow_hash(text: bytes, n_qubits: int, backend: NoisyBackend | None = None) -> bytes:
     """The proof hash h2 of ``text``."""
-    return prove(text, n_qubits, backend).h2
+    return _prove(text, n_qubits, backend).h2
 
 
 def require_difficulty(difficulty: int) -> int:

@@ -45,6 +45,8 @@ def _make_backend(args: argparse.Namespace, n_qubits: int) -> NoisyBackend | Non
 def cmd_mine(args: argparse.Namespace) -> int:
     if args.blocks < 0:
         raise ValueError(f"--blocks must be >= 0, got {args.blocks}")
+    if args.max_attempts < 1:
+        raise ValueError(f"--max-attempts must be >= 1, got {args.max_attempts}")
     require_difficulty(args.difficulty)
     existing = os.path.exists(args.chain)
     if existing:

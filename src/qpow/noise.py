@@ -63,8 +63,11 @@ def noisy_outcome(state: np.ndarray, params: NoiseParams, cnots: float,
                   rng: np.random.Generator | None = None) -> str:
     """One noisy readout of the most-probable state.
 
-    All randomness comes from ``rng`` (or a fresh generator seeded with
-    ``params.seed``), so a fixed seed reproduces the outcome sequence.
+    Only the state's probabilities are read, so a state of
+    ``simulator.simulate_batch``, in its frame, gives the same outcome as
+    the converted one. All randomness comes from ``rng`` (or a fresh
+    generator seeded with ``params.seed``), so a fixed seed reproduces the
+    outcome sequence.
     """
     if rng is None:
         rng = np.random.default_rng(params.seed)

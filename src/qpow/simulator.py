@@ -23,6 +23,16 @@ copied into the scratch and back. Each product covers the whole batch, each
 row with its own matrix. The states and their scratch are one allocation of
 2 * B * 2^n amplitudes.
 
+The kernel runs in the fixed diagonal frame F = diag(1, -i) on every qubit:
+it stores x' = F^-1 x, which is amplitude i of x times i^popcount(i). There
+rx(a) is the real rotation [[cos a/2, -sin a/2], [sin a/2, cos a/2]], while
+rz and crx's control projectors, being diagonal, are unchanged. So every
+Kronecker matrix of a crx run is real, for any circuit, and the products
+over a crx half's columns are real matrix products on its float view, whose
+rows hold the amplitudes' re/im parts side by side. |x'_i|^2 = |x_i|^2, so
+the readout needs no conversion; ``simulate`` and ``chain.prove`` convert
+their states back with ``to_basis``, and hashing never does.
+
 How many circuits share a batch is capped by BATCH_BYTES, the bytes a batch
 keeps live (states, scratch, Kronecker matrices, gate matrices), so a batch
 stays cache-sized: B is 32 at n = 4, 8 at n = 12, and 1 from n = 15 on,
@@ -56,8 +66,11 @@ NORM_TOL = 1e-10
 TIE_TOL = 1e-9
 # Adjacent target axes rotated by one Kronecker matrix (16x16 at most).
 FUSE_AXES = 4
-# Multiply-adds per BLAS call.
+# Complex multiply-adds per BLAS call (see _product_shape).
 TILE_MACS = 1 << 14
+# The forms of a Kronecker product step: complex rows times a transposed
+# matrix, a complex matrix times columns, a real matrix times real columns.
+_ROWS, _COLUMNS, _REAL = 0, 1, 2
 # Probabilities per readout chunk.
 READOUT_CHUNK = 1 << 16
 # Templates whose plans are kept: more than the 29 ansatz templates, so that
@@ -91,12 +104,39 @@ def _check_norm(states: np.ndarray, where: str) -> None:
 def simulate(circuit: Circuit, check_norm: bool = False) -> np.ndarray:
     """Run the circuit from |0...0> and return the final statevector.
 
-    The batch of one circuit: the result is a view into the 2^(n+1)-amplitude
-    block of ``simulate_batch``, so it keeps that block alive.
+    The batch of one circuit, converted back from the frame: the result is a
+    view into the 2^(n+1)-amplitude block of ``simulate_batch``, so it keeps
+    that block alive.
     """
     states, _ = simulate_batch(circuit.template, circuit.n_qubits,
                                np.array([circuit.angles]), check_norm)
-    return states[0]
+    return to_basis(states[0])
+
+
+def to_basis(states: np.ndarray) -> np.ndarray:
+    """Convert C-contiguous (..., 2^n) states of ``simulate_batch`` in place
+    from the frame F to computational-basis amplitudes; returns ``states``.
+
+    Amplitude i is multiplied by (-i)^popcount(i), the diagonal of F, as a
+    factor of the low n/2 index bits times one of the high bits. Each factor
+    is 1, -i, -1 or i, so the conversion is exact.
+    """
+    n = states.shape[-1].bit_length() - 1
+    low = n // 2
+    view = states.reshape(-1, 1 << (n - low), 1 << low)
+    view *= _frame_diagonal(low)
+    view *= _frame_diagonal(n - low)[:, None]
+    return states
+
+
+@functools.lru_cache(maxsize=16)
+def _frame_diagonal(k: int) -> np.ndarray:
+    # (-i)^popcount(j) for j < 2^k, read-only. Kept per k: at most 2^15
+    # entries for n <= 30, where building it took more than converting an
+    # n=4 state.
+    diagonal = np.array([1, -1j, -1, 1j])[[bin(j).count("1") & 3 for j in range(1 << k)]]
+    diagonal.flags.writeable = False
+    return diagonal
 
 
 def batch_rows(template: tuple[Slot, ...], n: int) -> int:
@@ -111,14 +151,15 @@ def simulate_batch(template: tuple[Slot, ...], n: int, angles: np.ndarray,
     (B, len(template)) ``angles``, from |0...0> as one (B, 2^n) block.
 
     Returns (states, scratch), the two (B, 2^n) halves of one allocation; the
-    scratch is free once this returns, and ``outcome_indices`` may reuse it.
+    states are in the frame F (``to_basis`` converts them), and the scratch
+    is free once this returns, and ``outcome_indices`` may reuse it.
     With ``check_norm`` the prefix and every later run of gates are followed
     by a unitarity check that each row's L2 norm stayed within 1e-10 of 1;
     violations raise RuntimeError.
     """
     plan = _plan(template, n)
     rows = len(angles)
-    vectors, col_krons, row_krons = plan.matrices(angles)
+    vectors, krons = plan.matrices(angles)
     # One block: the states, then a scratch buffer of the same size. From
     # n = 20 on it exceeds the 32 MiB ceiling of glibc's mmap threshold, so
     # every call maps and unmaps it instead of leaving part of it in the heap.
@@ -150,12 +191,16 @@ def simulate_batch(template: tuple[Slot, ...], n: int, angles: np.ndarray,
             half = halves[run.half]
             src, dst = half_src, half_dst
             np.copyto(src.reshape(half.shape), half)
-        for count, index, shape, columnwise in run.steps:
-            if columnwise:
-                np.matmul(col_krons[count][index], src.reshape(shape).transpose(0, 1, 3, 2, 4),
-                          out=dst.reshape(shape).transpose(0, 1, 3, 2, 4))
+        for count, index, shape, form in run.steps:
+            kron = krons[form][count][index]
+            if form == _ROWS:
+                np.matmul(src.reshape(shape), kron, out=dst.reshape(shape))
             else:
-                np.matmul(src.reshape(shape), row_krons[count][index], out=dst.reshape(shape))
+                # A real step reads the half's re/im parts as 2 * cols columns.
+                a, b = (src, dst) if form == _COLUMNS else (src.view(np.float64),
+                                                            dst.view(np.float64))
+                np.matmul(kron, a.reshape(shape).transpose(0, 1, 3, 2, 4),
+                          out=b.reshape(shape).transpose(0, 1, 3, 2, 4))
             src, dst = dst, src
         if run.half is not None:
             np.copyto(half, src.reshape(half.shape))
@@ -171,12 +216,11 @@ class _Run:
     # Gates first..stop-1, applied to the whole state (half None) or to the
     # control = 1 half of plan.halves[half]. Each step applies Kronecker
     # matrix ``index`` of those on ``count`` axes to the (B, ...) block
-    # reshaped to ``shape``, through its (0, 1, 3, 2, 4) transpose when
-    # ``columnwise``.
+    # reshaped to ``shape`` (its float view for _REAL), in product ``form``.
     first: int
     stop: int
     half: int | None
-    steps: tuple[tuple[int, int, tuple[int, ...], bool], ...]
+    steps: tuple[tuple[int, int, tuple[int, ...], int], ...]
 
 
 @dataclass(frozen=True)
@@ -206,10 +250,10 @@ class _Plan:
     factors: np.ndarray
     # (start, length) of each prefix vector in the entries.
     prefix_spans: tuple[tuple[int, int], ...]
-    # [count]: (start, groups, columnwise, rowwise) of the Kronecker
-    # matrices on that many axes in the entries, groups x 2^count x 2^count
-    # of them from ``start``, and whether columnwise and row steps use them.
-    kron_spans: tuple[tuple[int, int, bool, bool], ...]
+    # [count]: (start, groups, forms) of the Kronecker matrices on that many
+    # axes in the entries, groups x 2^count x 2^count of them from
+    # ``start``, and per product form whether a step of that form uses them.
+    kron_spans: tuple[tuple[int, int, tuple[bool, bool, bool]], ...]
     # (B, outer, 2, inner) shapes that expose each control's two halves.
     halves: tuple[tuple[int, int, int, int], ...]
     runs: tuple[_Run, ...]
@@ -217,11 +261,12 @@ class _Plan:
     # Kronecker matrices and prefix vectors, and its gate and fold matrices.
     row_bytes: int
 
-    def matrices(self, angles: np.ndarray) -> tuple[list, list, list]:
+    def matrices(self, angles: np.ndarray) -> tuple[list, tuple[list, list, list]]:
         """For (B, gates) angles: the prefix's (B, 2^count) product-state
-        vectors, and every Kronecker matrix, per size as (groups, B, 1, 1,
-        dim, dim) stacks for columnwise steps and as transposed (groups, B, 1,
-        dim, dim) stacks for row steps."""
+        vectors, and per product form and size every Kronecker matrix:
+        transposed (groups, B, 1, dim, dim) stacks for _ROWS, (groups, B, 1,
+        1, dim, dim) stacks for _COLUMNS, and contiguous float copies of
+        those for _REAL."""
         rows = len(angles)
         half_angles = np.zeros((rows, len(self.cos_part)))
         np.multiply(angles, 0.5, out=half_angles[:, :-1])
@@ -242,16 +287,17 @@ class _Plan:
         entries = np.take(flat, self.factors[0], axis=1)
         for index in self.factors[1:]:
             entries *= np.take(flat, index, axis=1)
-        col_krons, row_krons = [], []
-        for count, (start, groups, columnwise, rowwise) in enumerate(self.kron_spans):
+        krons: tuple[list, list, list] = ([], [], [])
+        for count, (start, groups, forms) in enumerate(self.kron_spans):
             dim = 1 << count
-            stack = entries[:, start:start + groups * dim * dim]
-            col_krons.append(stack.reshape(rows, groups, 1, 1, dim, dim).transpose(1, 0, 2, 3, 4, 5)
-                             if columnwise else None)
-            row_krons.append(stack.reshape(rows, groups, 1, dim, dim).transpose(1, 0, 2, 4, 3)
-                             if rowwise else None)
+            stack = entries[:, start:start + groups * dim * dim].reshape(rows, groups, 1, dim, dim)
+            krons[_ROWS].append(stack.transpose(1, 0, 2, 4, 3) if forms[_ROWS] else None)
+            krons[_COLUMNS].append(stack[:, :, None].transpose(1, 0, 2, 3, 4, 5)
+                                   if forms[_COLUMNS] else None)
+            krons[_REAL].append(stack.real[:, :, None].copy().transpose(1, 0, 2, 3, 4, 5)
+                                if forms[_REAL] else None)
         vectors = [entries[:, start:start + length] for start, length in self.prefix_spans]
-        return vectors, col_krons, row_krons
+        return vectors, krons
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE)
@@ -304,8 +350,8 @@ def _plan(template: tuple[Slot, ...], n: int) -> _Plan:
     for i, (kind, _, _) in enumerate(template):
         if kind == RZ:  # m00, m11 = exp(-/+ i angle/2)
             sin_part[i, [1, 7]] = -1.0, 1.0
-        else:  # rx, or a crx's rx on the control = 1 half: m01 = m10 = -i sin
-            sin_part[i, [3, 5]] = -1.0
+        else:  # rx, or a crx's rx on the control = 1 half, in the frame F:
+            sin_part[i, [2, 4]] = -1.0, 1.0  # m01 = -sin, m10 = sin
 
     groups: list[list[list[int]]] = [[] for _ in range(FUSE_AXES + 1)]
     plan_runs = []
@@ -313,7 +359,8 @@ def _plan(template: tuple[Slot, ...], n: int) -> _Plan:
         steps = []
         for group in _axis_groups(sorted(axes)):
             count = len(group)
-            steps.append((count, len(groups[count]), *_product_shape(group[0], count, n_axes)))
+            steps.append((count, len(groups[count]),
+                           *_product_shape(group[0], count, n_axes, half is not None)))
             groups[count].append([number[axes[axis]] for axis in group])
         plan_runs.append(_Run(first, stop, half, tuple(steps)))
     one = 4 * number[identity]  # its m00, exactly 1.0
@@ -339,14 +386,16 @@ def _plan(template: tuple[Slot, ...], n: int) -> _Plan:
         slots_of = [[number[prefix_axes.get(q, identity)] for q in group]]
         start, _ = products(slots_of, _KRON_BITS[len(group)][:, :, 0])
         prefix_spans.append((start, 1 << len(group)))
-    forms = {(count, columnwise) for run in plan_runs for count, _, _, columnwise in run.steps}
-    kron_spans = tuple((*products(found, _KRON_BITS[count]), (count, True) in forms,
-                        (count, False) in forms) for count, found in enumerate(groups))
+    forms = {(count, form) for run in plan_runs for count, _, _, form in run.steps}
+    kron_spans = tuple((*products(found, _KRON_BITS[count]),
+                        tuple((count, form) in forms for form in (_ROWS, _COLUMNS, _REAL)))
+                       for count, found in enumerate(groups))
     factors = np.concatenate(factors, axis=1)
     halves = tuple((-1, 1 << c, 2, 1 << (n - 1 - c)) for c in controls)
     # Amplitudes of 16 bytes: the state and its scratch, the entries and one
-    # gathered factor of them, and about 8 per gate and per slot for the 2x2
-    # matrices.
+    # gathered factor of them (which the real copies of crx stacks, made
+    # after it is freed, never exceed), and about 8 per gate and per slot
+    # for the 2x2 matrices.
     amplitudes = (2 << n) + 2 * factors.shape[1] + 8 * (len(template) + 1 + len(slots))
     return _Plan(prefix, tuple(levels), cos_part, sin_part, factors, tuple(prefix_spans),
                  kron_spans, halves, tuple(plan_runs), 16 * amplitudes)
@@ -380,24 +429,33 @@ def _axis_groups(axes: list[int]) -> list[list[int]]:
             for span in spans for stop in range(len(span), 0, -FUSE_AXES)]
 
 
-def _product_shape(first: int, count: int, n_axes: int) -> tuple[tuple[int, ...], bool]:
+def _product_shape(first: int, count: int, n_axes: int,
+                   real: bool) -> tuple[tuple[int, ...], int]:
     # How a matrix on axes first..first+count-1 of a (2,)*n_axes block is
-    # applied: the (B, ...) block's shape for np.matmul, and whether the
-    # products run over columns. Each BLAS call does at most TILE_MACS
-    # multiply-adds, which keeps OpenBLAS 0.3.31 on the calling thread (it
-    # threads from about 2^16): on a shared two-core host one threaded
-    # (16x16)@(16x2^15) product took 8 ms against 0.15 ms on one thread.
+    # applied: the (B, ...) block's shape for np.matmul, and the product's
+    # form; ``real`` for a crx run, whose Kronecker matrices are real. Its
+    # row products stay complex (with imaginary parts 0): as real products
+    # by kron(K^T, I_2) they made an n=4 hash, where every crx product is a
+    # row product, 1.4-1.9x as slow. Each BLAS call does at most TILE_MACS
+    # complex multiply-adds, which keeps OpenBLAS 0.3.31 on the calling
+    # thread (its zgemm threads from 2^16): on a shared two-core host one
+    # threaded (16x16)@(16x2^15) product took 8 ms against 0.15 ms on one
+    # thread. A real tile of the same columns does 2 * dim^2 * cols real
+    # multiply-adds, 2^15 at 16x16, and dgemm stays on one thread up to 2^19
+    # (it threads from 2^20); real tiles 2-8x wider were no faster.
     dim = 1 << count
     outer, inner = 1 << first, 1 << (n_axes - first - count)
     tile = TILE_MACS // (dim * dim)
     if inner == 1:
         # Rows of ``dim`` contiguous amplitudes, ``tile`` rows per product.
         rows = min(tile, outer)
-        return (-1, outer // rows, rows, dim), False
+        return (-1, outer // rows, rows, dim), _ROWS
     # Columns of ``dim`` amplitudes ``inner`` apart, ``tile`` columns per
-    # product.
+    # product; a real product's columns are their re/im parts.
     cols = min(tile, inner)
-    return (-1, outer, dim, inner // cols, cols), True
+    if real:
+        return (-1, outer, dim, inner // cols, 2 * cols), _REAL
+    return (-1, outer, dim, inner // cols, cols), _COLUMNS
 
 
 def probabilities(state: np.ndarray) -> np.ndarray:

@@ -17,6 +17,8 @@ from qpow.hashing import encode_angles, sha3_256
 from qpow.noise import NoiseParams, noisy_outcome
 from qpow.simulator import batch_rows, most_probable_state, simulate
 
+from oracles import simulate_dense
+
 PREV = sha3_256(b"previous block")
 
 
@@ -122,6 +124,14 @@ def test_prove_exposes_every_stage():
     assert proof.circuit.n_qubits == 4
     assert proof.bits == most_probable_state(proof.state).bits
     assert proof.h2 == sha3_256(proof.h1 + pack_bits(proof.bits)) == qpow_hash(text, 4)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_proof_state_matches_dense_oracle(n):
+    # The simulator runs in a diagonal frame; prove converts its state back.
+    for i in range(3):
+        proof = prove(b"dense proof %d" % i, n)
+        np.testing.assert_allclose(proof.state, simulate_dense(proof.circuit), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("noisy", [False, True])

@@ -219,7 +219,7 @@ def test_verify_reports_bad_qubit_count_per_block(tmp_path, capsys, position, n_
 
 
 def _no_simulation(*args, **kwargs):
-    raise AssertionError("a state over the memory limit was simulated")
+    raise AssertionError("simulated although the command was refused")
 
 
 @pytest.fixture
@@ -263,16 +263,12 @@ def test_hash_refuses_qubits_over_the_memory_limit_before_simulating(capsys, mon
     assert "memory" in err and out == ""
 
 
-def _not_judged(*args, **kwargs):
-    raise AssertionError("simulated under a refused argument")
-
-
 @pytest.mark.parametrize("difficulty", ["-3", "65", "99"])
 def test_verify_refuses_an_out_of_range_difficulty_before_simulating(n3_chain, tmp_path, capsys,
                                                                     monkeypatch, difficulty):
     genesis_only = tmp_path / "genesis.json"
     genesis_only.write_text(json.dumps(json.loads(n3_chain.read_text())[:1]))
-    monkeypatch.setattr(chain_mod, "simulate_batch", _not_judged)
+    monkeypatch.setattr(chain_mod, "simulate_batch", _no_simulation)
     for path in genesis_only, n3_chain:
         code, out, err = run(capsys, "verify", "--chain", str(path), "--difficulty", difficulty)
         assert code == 2
@@ -283,10 +279,11 @@ def test_verify_refuses_an_out_of_range_difficulty_before_simulating(n3_chain, t
     pytest.param(("--difficulty", "99"), "difficulty must be in [0, 64]", id="difficulty-99"),
     pytest.param(("--difficulty", "-3"), "difficulty must be in [0, 64]", id="difficulty-minus-3"),
     pytest.param(("--blocks", "-2"), "--blocks must be >= 0", id="blocks-minus-2"),
+    pytest.param(("--max-attempts", "0"), "--max-attempts must be >= 1", id="max-attempts-0"),
 ])
 def test_mine_refuses_an_out_of_range_argument_before_writing(n3_chain, tmp_path, capsys,
                                                               monkeypatch, argv, message):
-    monkeypatch.setattr(chain_mod, "simulate_batch", _not_judged)
+    monkeypatch.setattr(chain_mod, "simulate_batch", _no_simulation)
     new_path = tmp_path / "new.json"
     code, out, err = run(capsys, "mine", "--chain", str(new_path), *argv)
     assert code == 2

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,9 +6,10 @@ import pytest
 
 from qpow.circuit import CRX, RX, RZ, Circuit, Gate, ansatz_template, build_ansatz
 from qpow.hashing import encode_angles, sha3_256
-from qpow.simulator import (BATCH_BYTES, PLAN_CACHE, READOUT_CHUNK, TIE_TOL, _plan, batch_rows,
+from qpow.simulator import (_COLUMNS, _REAL, BATCH_BYTES, PLAN_CACHE, READOUT_CHUNK, TIE_TOL,
+                            _plan, batch_rows,
                             histogram_csv, most_probable_state, num_qubits, outcome_indices,
-                            probabilities, sample_counts, simulate, simulate_batch)
+                            probabilities, sample_counts, simulate, simulate_batch, to_basis)
 
 from oracles import (argmax_exhaustive, outcome_index, simulate_dense,
                      simulate_product_prefix)
@@ -256,6 +258,60 @@ def test_fused_random_angle_ansatz_matches_product_prefix_oracle(n):
             build_ansatz(rng.uniform(-2 * math.pi, 2 * math.pi, 64), n))
 
 
+def frame_cases():
+    """(template, n) of every ansatz template for n = 2..16 and of the
+    hand-built planned and fused cases."""
+    cases = [(ansatz_template(n), n) for n in range(2, 17)]
+    cases += [(planned_case(n, name).template, n) for name in PLANNED_CASES for n in (4, 5, 6)]
+    cases += [(fused_case(n, name).template, n) for name in FUSED_CASES for n in (10, 11)]
+    return cases
+
+
+def crx_step_matrices(template, n, angles):
+    # Per crx step, its complex Kronecker stack and the stack its product
+    # uses (a float copy for a real step).
+    plan = _plan(template, n)
+    every_form = dataclasses.replace(plan, kron_spans=tuple(
+        (start, groups, (True, True, True)) for start, groups, _ in plan.kron_spans))
+    _, krons = every_form.matrices(angles)
+    _, used = plan.matrices(angles)
+    return [(krons[_COLUMNS][count][index], used[form][count][index])
+            for run in plan.runs if run.half is not None
+            for count, index, _, form in run.steps]
+
+
+def test_crx_kronecker_matrices_are_real_in_the_frame():
+    # In the frame F rx is a real rotation and crx's control projectors are
+    # diagonal, so every crx run's matrices are real, for any angles.
+    rng = np.random.default_rng(5)
+    for template, n in frame_cases():
+        steps = crx_step_matrices(template, n, rng.uniform(-7, 7, (3, len(template))))
+        assert steps, (template, n)
+        for stack, used in steps:
+            assert np.all(stack.imag == 0), (template, n)
+            if used.dtype == np.float64:
+                assert np.array_equal(used, stack.real)
+    # From n = 8 on the ansatz's crx runs have real columnwise products.
+    forms = {form for run in _plan(ansatz_template(12), 12).runs for *_, form in run.steps}
+    assert _REAL in forms
+
+
+def test_frame_rows_convert_back_to_simulate():
+    rng = np.random.default_rng(6)
+    for template, n in frame_cases():
+        angles = rng.uniform(-7, 7, (3, len(template)))
+        states, _ = simulate_batch(template, n, angles)
+        for row, state in zip(angles, to_basis(states)):
+            np.testing.assert_allclose(state, simulate(Circuit._of(n, template, tuple(row))),
+                                       rtol=0, atol=1e-12)
+
+
+def test_to_basis_multiplies_by_powers_of_minus_i():
+    for n in range(1, 8):
+        expected = np.array([(-1j) ** bin(i).count("1") for i in range(1 << n)])
+        assert np.array_equal(to_basis(np.ones((2, 1 << n), dtype=complex)), [expected] * 2)
+
+
 def one_array_readout(state):
     probs = probabilities(state)
     idx = int(np.flatnonzero(probs >= probs.max() * (1.0 - TIE_TOL))[0])
@@ -312,7 +368,8 @@ def test_batched_outcomes_equal_scalar_outcomes(n, rows):
     near_ties = 0
     for lo in range(0, len(digests), rows):
         states, scratch = simulate_batch(template, n, angles[lo:lo + rows])
-        for row, state in enumerate(states):
+        # The batch's states are in the frame F; simulate converts back.
+        for row, state in enumerate(to_basis(states.copy())):
             circuit = build_ansatz(angles[lo + row], n)
             scalar = simulate(circuit)
             np.testing.assert_allclose(state, scalar, rtol=0, atol=1e-12)
