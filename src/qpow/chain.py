@@ -16,14 +16,14 @@ import json
 import os
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .circuit import (MAX_QUBITS, MIN_QUBITS, Circuit, ansatz_template, build_ansatz,
                       count_two_qubit_gates)
 from .hashing import DIGEST_SIZE, check_digest, encode_angles, sha3_256
-from .noise import NoiseParams, noisy_outcome
+from .noise import NoiseParams, noisy_bits
 from .simulator import batch_rows, outcome_indices, simulate_batch, to_basis
 
 ZERO_HASH = bytes(DIGEST_SIZE)
@@ -60,13 +60,13 @@ class NoisyBackend:
         self.params = params
         self._rng = np.random.default_rng(params.seed)
 
-    def outcome(self, state: np.ndarray, circuit: Circuit) -> str:
-        """One noisy readout of ``state``. It reads only the state's
-        probabilities, so a state in the simulator's frame gives the same bits."""
+    def outcome(self, exact: Callable[[], str], circuit: Circuit) -> str:
+        """One noisy readout of the circuit, whose exact outcome ``exact()``
+        gives; it is called only when the noise draws need it."""
         cnots = self.params.effective_cnots
         if cnots is None:
             cnots = float(count_two_qubit_gates(circuit))
-        return noisy_outcome(state, self.params, cnots, self._rng)
+        return noisy_bits(exact, circuit.n_qubits, self.params, cnots, self._rng)
 
 
 @dataclass(frozen=True)
@@ -152,25 +152,27 @@ def prove(text: bytes, n_qubits: int, backend: NoisyBackend | None = None) -> Pr
 
     ``backend`` None is the exact backend: the simulator's most-probable state.
     The circuit runs as a batch of one, through the kernel ``prove_many`` uses;
-    ``state`` holds its computational-basis amplitudes.
+    ``state`` holds its computational-basis amplitudes, converted into the
+    batch's scratch when the simulator stores the qubits in another order.
     """
-    proof = _prove(text, n_qubits, backend)
-    to_basis(proof.state)
-    return proof
+    h1, circuit, (states, scratch, order), bits, h2 = _stages(text, n_qubits, backend)
+    return Proof(h1, circuit, to_basis(states, order, scratch)[0], bits, h2)
 
 
-def _prove(text: bytes, n_qubits: int, backend: NoisyBackend | None) -> Proof:
-    # ``prove`` with the state left in the simulator's frame: every stage
-    # after it reads only probabilities, which the frame does not change.
+def _stages(text: bytes, n_qubits: int, backend: NoisyBackend | None):
+    # ``prove``'s stages, with the batch of one from simulate_batch in place
+    # of the state: left in the simulator's order and frame, which the
+    # readout reads as they are.
     h1 = sha3_256(text)
     angles = encode_angles(h1)
     circuit = build_ansatz(angles, n_qubits)
-    states, scratch = simulate_batch(circuit.template, n_qubits, angles[None])
-    if backend is None:
-        bits = format(int(outcome_indices(states, scratch)[0]), f"0{n_qubits}b")
-    else:
-        bits = backend.outcome(states[0], circuit)
-    return Proof(h1, circuit, states[0], bits, sha3_256(h1 + pack_bits(bits)))
+    batch = states, scratch, order = simulate_batch(circuit.template, n_qubits, angles[None])
+
+    def exact() -> str:
+        return format(int(outcome_indices(states, scratch, order)[0]), f"0{n_qubits}b")
+
+    bits = exact() if backend is None else backend.outcome(exact, circuit)
+    return h1, circuit, batch, bits, sha3_256(h1 + pack_bits(bits))
 
 
 def prove_many(texts: Sequence[bytes], n_qubits: int) -> list[bytes]:
@@ -185,16 +187,16 @@ def prove_many(texts: Sequence[bytes], n_qubits: int) -> list[bytes]:
     h2s = []
     for lo in range(0, len(h1s), step):
         batch = h1s[lo:lo + step]
-        states, scratch = simulate_batch(template, n_qubits,
-                                         np.stack([encode_angles(h1) for h1 in batch]))
+        states, scratch, order = simulate_batch(template, n_qubits,
+                                                np.stack([encode_angles(h1) for h1 in batch]))
         h2s += [sha3_256(h1 + _pack_index(index, n_qubits))
-                for h1, index in zip(batch, outcome_indices(states, scratch).tolist())]
+                for h1, index in zip(batch, outcome_indices(states, scratch, order).tolist())]
     return h2s
 
 
 def qpow_hash(text: bytes, n_qubits: int, backend: NoisyBackend | None = None) -> bytes:
     """The proof hash h2 of ``text``."""
-    return _prove(text, n_qubits, backend).h2
+    return _stages(text, n_qubits, backend)[-1]
 
 
 def require_difficulty(difficulty: int) -> int:

@@ -114,6 +114,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_hash(args: argparse.Namespace) -> int:
+    if args.out is not None and args.shots < 1:
+        raise ValueError(f"--shots must be >= 1, got {args.shots}")
     check_bench_feasible(args.qubits)
     proof = prove(args.text.encode("utf-8"), args.qubits)
     amp = proof.state[int(proof.bits, 2)]

@@ -9,6 +9,7 @@ survival formula exactly without simulating gate-level noise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -61,19 +62,31 @@ def accuracy_estimate(n: int, cnots: float, params: NoiseParams = NoiseParams())
 
 def noisy_outcome(state: np.ndarray, params: NoiseParams, cnots: float,
                   rng: np.random.Generator | None = None) -> str:
-    """One noisy readout of the most-probable state.
+    """One noisy readout of the most-probable state of ``state``, a
+    statevector in ascending qubit order.
 
-    Only the state's probabilities are read, so a state of
-    ``simulator.simulate_batch``, in its frame, gives the same outcome as
-    the converted one. All randomness comes from ``rng`` (or a fresh
-    generator seeded with ``params.seed``), so a fixed seed reproduces the
-    outcome sequence.
+    Only the state's probabilities are read, so the frame of
+    ``simulator.simulate_batch`` does not change the outcome, while its
+    stored qubit order does; the pipeline calls ``noisy_bits`` instead. All
+    randomness comes from ``rng`` (or a fresh generator seeded with
+    ``params.seed``), so a fixed seed reproduces the outcome sequence.
+    """
+    return noisy_bits(lambda: most_probable_state(state).bits, num_qubits(state), params,
+                      cnots, rng)
+
+
+def noisy_bits(exact: Callable[[], str], n: int, params: NoiseParams, cnots: float,
+               rng: np.random.Generator | None = None) -> str:
+    """``noisy_outcome`` of an n-qubit state whose exact most-probable bits
+    ``exact()`` gives; it is called only if the state survives the noise.
+
+    The draws are ``random()``, then ``integers()`` unless the state
+    survived, then ``random(n)`` for the readout flips.
     """
     if rng is None:
         rng = np.random.default_rng(params.seed)
-    n = num_qubits(state)
     if rng.random() < (1.0 - params.e_cnot) ** cnots:
-        bits = most_probable_state(state).bits
+        bits = exact()
     else:
         bits = format(int(rng.integers(1 << n)), f"0{n}b")
     flips = rng.random(n) < params.e_readout

@@ -17,11 +17,26 @@ rx/rz, on the control = 1 half for crx. The rx/rz gates before the first crx
 act on |0...0>, so their matrices' first columns give a product state: one
 Kronecker vector per group of up to four qubits, joined by one outer product
 per group. Every later run rotates adjacent axes of its block together by one
-Kronecker matrix of up to 16x16 through tiled matrix products, alternating
-between the block and a scratch buffer of its size; a crx run's half is
-copied into the scratch and back. Each product covers the whole batch, each
-row with its own matrix. The states and their scratch are one allocation of
-2 * B * 2^n amplitudes.
+Kronecker matrix of up to 16x16 through tiled matrix products. Each product
+covers the whole batch, each row with its own matrix. The states and their
+scratch are one allocation of 2 * B * 2^n amplitudes.
+
+The states are stored with their qubits in a fixed order per template (a
+``QubitOrder``): the crx controls first, in order of first use, then the other
+qubits in ascending order; when every qubit is a control, ascending order is
+kept. The control = 1 half of the control on axis j is then 2^j blocks of
+2^(n-1-j) contiguous amplitudes. A crx run rotates its half in place, through
+views of the states, when its target axes all lie after its control's axis,
+or when the control is on the last axis: an even number of products
+alternates between the half and one half of the scratch, an odd number of
+three or more first passes through both scratch halves, and a single product
+goes to the scratch and is copied back. Any other run gathers its half into
+the scratch and copies it back; from n = 17 on no ansatz run does. No product
+writes over its own operand, which NumPy would read from a temporary copy
+beyond the block. An rx/rz stretch alternates between the states and the
+scratch. The readout keeps the rule on basis indices: within a block of
+fixed control bits the basis index grows with the stored index, so it maps
+each tied block's first tie to its basis index and takes the lowest.
 
 The kernel runs in the fixed diagonal frame F = diag(1, -i) on every qubit:
 it stores x' = F^-1 x, which is amplitude i of x times i^popcount(i). There
@@ -29,9 +44,11 @@ rx(a) is the real rotation [[cos a/2, -sin a/2], [sin a/2, cos a/2]], while
 rz and crx's control projectors, being diagonal, are unchanged. So every
 Kronecker matrix of a crx run is real, for any circuit, and the products
 over a crx half's columns are real matrix products on its float view, whose
-rows hold the amplitudes' re/im parts side by side. |x'_i|^2 = |x_i|^2, so
+rows hold the amplitudes' re/im parts side by side, wherever the half has
+one. |x'_i|^2 = |x_i|^2, so
 the readout needs no conversion; ``simulate`` and ``chain.prove`` convert
-their states back with ``to_basis``, and hashing never does.
+their states back to ascending qubits and out of the frame with ``to_basis``,
+into the batch's free scratch, and hashing never does.
 
 How many circuits share a batch is capped by BATCH_BYTES, the bytes a batch
 keeps live (states, scratch, Kronecker matrices, gate matrices), so a batch
@@ -71,6 +88,8 @@ TILE_MACS = 1 << 14
 # The forms of a Kronecker product step: complex rows times a transposed
 # matrix, a complex matrix times columns, a real matrix times real columns.
 _ROWS, _COLUMNS, _REAL = 0, 1, 2
+# Puts a column product's (dim, cols) block last, for np.matmul.
+_SWAP = (0, 1, 2, 4, 3, 5)
 # Probabilities per readout chunk.
 READOUT_CHUNK = 1 << 16
 # Templates whose plans are kept: more than the 29 ansatz templates, so that
@@ -104,24 +123,33 @@ def _check_norm(states: np.ndarray, where: str) -> None:
 def simulate(circuit: Circuit, check_norm: bool = False) -> np.ndarray:
     """Run the circuit from |0...0> and return the final statevector.
 
-    The batch of one circuit, converted back from the frame: the result is a
-    view into the 2^(n+1)-amplitude block of ``simulate_batch``, so it keeps
-    that block alive.
+    The batch of one circuit, converted back to ascending qubits and out of
+    the frame: the result is a view into the 2^(n+1)-amplitude block of
+    ``simulate_batch``, so it keeps that block alive.
     """
-    states, _ = simulate_batch(circuit.template, circuit.n_qubits,
-                               np.array([circuit.angles]), check_norm)
-    return to_basis(states[0])
+    states, scratch, order = simulate_batch(circuit.template, circuit.n_qubits,
+                                            np.array([circuit.angles]), check_norm)
+    return to_basis(states, order, scratch)[0]
 
 
-def to_basis(states: np.ndarray) -> np.ndarray:
-    """Convert C-contiguous (..., 2^n) states of ``simulate_batch`` in place
-    from the frame F to computational-basis amplitudes; returns ``states``.
+def to_basis(states: np.ndarray, order: QubitOrder | None = None,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """Convert C-contiguous (..., 2^n) states of ``simulate_batch``, stored in
+    ``order`` (None: ascending qubits) and in the frame F, to
+    computational-basis amplitudes, and return them.
 
-    Amplitude i is multiplied by (-i)^popcount(i), the diagonal of F, as a
-    factor of the low n/2 index bits times one of the high bits. Each factor
-    is 1, -i, -1 or i, so the conversion is exact.
+    In ascending order they are converted in place. Otherwise their axes are
+    first permuted into ``out``, a C-contiguous array of the same shape (the
+    batch's free scratch), which is then converted and returned. Amplitude i
+    is multiplied by (-i)^popcount(i), the diagonal of F, as a factor of the
+    low n/2 index bits times one of the high bits. Each factor is 1, -i, -1
+    or i, so the conversion is exact.
     """
     n = states.shape[-1].bit_length() - 1
+    if order is not None:
+        stored = states.reshape((-1,) + (2,) * n)
+        np.copyto(out.reshape(stored.shape), stored.transpose(0, *np.argsort(order.qubits) + 1))
+        states = out
     low = n // 2
     view = states.reshape(-1, 1 << (n - low), 1 << low)
     view *= _frame_diagonal(low)
@@ -139,6 +167,44 @@ def _frame_diagonal(k: int) -> np.ndarray:
     return diagonal
 
 
+@dataclass(frozen=True, eq=False)
+class QubitOrder:
+    """How ``simulate_batch`` stores the states of a template whose qubits
+    it does not keep in ascending order.
+
+    ``qubits[k]`` is the qubit on axis k, axis 0 being the most significant
+    bit of a stored index. The first axes hold the crx controls and the
+    others the remaining qubits in ascending order, so within each ``block``
+    of stored indices that share the control bits the basis index grows with
+    the stored index.
+    """
+
+    qubits: tuple[int, ...]
+    block: int
+    # The basis index of stored index s is high[s >> split] + low[s & (2^split - 1)].
+    split: int
+    high: np.ndarray
+    low: np.ndarray
+
+    def basis(self, stored):
+        """The basis index of each stored index in ``stored``."""
+        return self.high[stored >> self.split] + self.low[stored & ((1 << self.split) - 1)]
+
+
+def _qubit_order(qubits: tuple[int, ...], controls: int) -> QubitOrder:
+    n = len(qubits)
+    split = n // 2
+    tables = []
+    for axes in qubits[:n - split], qubits[n - split:]:
+        # Bit by bit from the least significant: the entries with that bit
+        # set are those without it plus the bit's basis weight.
+        table = np.zeros(1 << len(axes), dtype=np.int64)
+        for bit, qubit in enumerate(reversed(axes)):
+            table[1 << bit:2 << bit] = table[:1 << bit] + (1 << (n - 1 - qubit))
+        tables.append(table)
+    return QubitOrder(qubits, 1 << (n - controls), split, *tables)
+
+
 def batch_rows(template: tuple[Slot, ...], n: int) -> int:
     """How many circuits of this template ``simulate_batch`` should run at
     once: as many as keep the batch's live bytes within BATCH_BYTES, at least one."""
@@ -146,13 +212,16 @@ def batch_rows(template: tuple[Slot, ...], n: int) -> int:
 
 
 def simulate_batch(template: tuple[Slot, ...], n: int, angles: np.ndarray,
-                   check_norm: bool = False) -> tuple[np.ndarray, np.ndarray]:
+                   check_norm: bool = False
+                   ) -> tuple[np.ndarray, np.ndarray, QubitOrder | None]:
     """Run B circuits that share ``template``, one per row of the
     (B, len(template)) ``angles``, from |0...0> as one (B, 2^n) block.
 
-    Returns (states, scratch), the two (B, 2^n) halves of one allocation; the
-    states are in the frame F (``to_basis`` converts them), and the scratch
-    is free once this returns, and ``outcome_indices`` may reuse it.
+    Returns (states, scratch, order): the two (B, 2^n) halves of one
+    allocation and the template's qubit order. The states are stored in that
+    order (None: ascending qubits) and in the frame F; ``outcome_indices``
+    reads them as they are, and ``to_basis`` converts them. The scratch is
+    free once this returns, and either of those may reuse it.
     With ``check_norm`` the prefix and every later run of gates are followed
     by a unitarity check that each row's L2 norm stayed within 1e-10 of 1;
     violations raise RuntimeError.
@@ -165,9 +234,9 @@ def simulate_batch(template: tuple[Slot, ...], n: int, angles: np.ndarray,
     # every call maps and unmaps it instead of leaving part of it in the heap.
     work = np.empty((2, rows, 1 << n), dtype=np.complex128)
     states, scratch = work
-    # The product state, from the least significant group of qubits up:
-    # each step multiplies the block so far by the next group's vector into
-    # the other buffer, so that the last step writes the states.
+    # The product state, from the least significant group of axes up: each
+    # step multiplies the block so far by the next group's vector into the
+    # other buffer, so that the last step writes the states.
     block = vectors[0]
     dst = scratch if len(vectors) % 2 else states
     for vector in vectors[1:]:
@@ -180,47 +249,51 @@ def simulate_batch(template: tuple[Slot, ...], n: int, angles: np.ndarray,
     if check_norm:
         _check_norm(states, f"the {plan.prefix}-gate prefix")
 
-    # The scratch as two contiguous (B, 2^(n-1)) blocks, for crx runs.
-    half_src, half_dst = scratch.reshape(2, rows, -1)
-    # The control = 1 halves of the states for each control, as (B, outer, inner).
-    halves = [states.reshape(shape)[:, :, 1] for shape in plan.halves]
+    views = _views(plan, states, scratch)
     for run in plan.runs:
-        if run.half is None:
-            src, dst = states, scratch
-        else:
-            half = halves[run.half]
-            src, dst = half_src, half_dst
-            np.copyto(src.reshape(half.shape), half)
-        for count, index, shape, form in run.steps:
+        if run.copy_in is not None:  # into a contiguous buffer
+            dst, src = views[run.copy_in[0]], views[run.copy_in[1]]
+            np.copyto(dst.reshape(src.shape), src)
+        for count, index, shape, form, a, b in run.steps:
             kron = krons[form][count][index]
+            src, dst = views[a].reshape(shape), views[b].reshape(shape)
             if form == _ROWS:
-                np.matmul(src.reshape(shape), kron, out=dst.reshape(shape))
+                np.matmul(src, kron, out=dst)
             else:
-                # A real step reads the half's re/im parts as 2 * cols columns.
-                a, b = (src, dst) if form == _COLUMNS else (src.view(np.float64),
-                                                            dst.view(np.float64))
-                np.matmul(kron, a.reshape(shape).transpose(0, 1, 3, 2, 4),
-                          out=b.reshape(shape).transpose(0, 1, 3, 2, 4))
-            src, dst = dst, src
-        if run.half is not None:
-            np.copyto(half, src.reshape(half.shape))
-        elif src is not states:
-            np.copyto(states, src)
+                np.matmul(kron, src.transpose(_SWAP), out=dst.transpose(_SWAP))
+        if run.copy_out is not None:  # from a contiguous buffer
+            dst, src = views[run.copy_out[0]], views[run.copy_out[1]]
+            np.copyto(dst, src.reshape(dst.shape))
         if check_norm:
             _check_norm(states, f"gates {run.first}..{run.stop - 1}")
-    return states, scratch
+    return states, scratch, plan.order
+
+
+def _views(plan: _Plan, states: np.ndarray, scratch: np.ndarray) -> list[np.ndarray]:
+    # The views a plan's runs use: whole buffers, the scratch's two
+    # contiguous (B, 2^(n-1)) halves, and the states' control = 1 halves,
+    # (B, 2^j, ...) for the control on axis j; each complex or as floats.
+    buffers = (states, scratch, *scratch.reshape(2, len(states), -1))
+    views = []
+    for buffer, shape, real in plan.views:
+        view = buffers[buffer].view(np.float64) if real else buffers[buffer]
+        views.append(view if shape is None else view.reshape(shape)[:, :, 1])
+    return views
 
 
 @dataclass(frozen=True)
 class _Run:
-    # Gates first..stop-1, applied to the whole state (half None) or to the
-    # control = 1 half of plan.halves[half]. Each step applies Kronecker
-    # matrix ``index`` of those on ``count`` axes to the (B, ...) block
-    # reshaped to ``shape`` (its float view for _REAL), in product ``form``.
+    # Gates first..stop-1, with crx control ``control`` or none. Each step
+    # applies Kronecker matrix ``index`` of those on ``count`` axes, in
+    # product ``form``, from view ``src`` to view ``dst``, both reshaped to
+    # ``shape``. ``copy_in`` and ``copy_out`` are (dst, src) views of a copy
+    # before and after the steps.
     first: int
     stop: int
-    half: int | None
-    steps: tuple[tuple[int, int, tuple[int, ...], int], ...]
+    control: int | None
+    copy_in: tuple[int, int] | None
+    copy_out: tuple[int, int] | None
+    steps: tuple[tuple[int, int, tuple[int, ...], int, int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -243,7 +316,7 @@ class _Plan:
     sin_part: np.ndarray
     # [l][e]: the flat index of the 2x2 entry of factor l that entry e
     # takes. The entries are the prefix's product-state vectors, one per
-    # group of up to FUSE_AXES qubits, least significant group first, and
+    # group of up to FUSE_AXES axes, least significant group first, and
     # then the Kronecker matrices on one axis, two axes, and so on. A
     # product of fewer than FUSE_AXES factors takes the identity's exact 1.0
     # for the missing ones.
@@ -254,9 +327,12 @@ class _Plan:
     # axes in the entries, groups x 2^count x 2^count of them from
     # ``start``, and per product form whether a step of that form uses them.
     kron_spans: tuple[tuple[int, int, tuple[bool, bool, bool]], ...]
-    # (B, outer, 2, inner) shapes that expose each control's two halves.
-    halves: tuple[tuple[int, int, int, int], ...]
+    # (buffer, shape, real) of each view the runs use: the buffer's float
+    # view if real, and if shape is given, index 1 of axis 2 of the buffer
+    # reshaped to it, a control = 1 half.
+    views: tuple[tuple[int, tuple[int, ...] | None, bool], ...]
     runs: tuple[_Run, ...]
+    order: QubitOrder | None
     # Bytes one circuit keeps live in a batch: its state and scratch, its
     # Kronecker matrices and prefix vectors, and its gate and fold matrices.
     row_bytes: int
@@ -264,9 +340,9 @@ class _Plan:
     def matrices(self, angles: np.ndarray) -> tuple[list, tuple[list, list, list]]:
         """For (B, gates) angles: the prefix's (B, 2^count) product-state
         vectors, and per product form and size every Kronecker matrix:
-        transposed (groups, B, 1, dim, dim) stacks for _ROWS, (groups, B, 1,
-        1, dim, dim) stacks for _COLUMNS, and contiguous float copies of
-        those for _REAL."""
+        transposed (groups, B, 1, 1, dim, dim) stacks for _ROWS, (groups, B,
+        1, 1, 1, dim, dim) stacks for _COLUMNS, and contiguous float copies
+        of those for _REAL."""
         rows = len(angles)
         half_angles = np.zeros((rows, len(self.cos_part)))
         np.multiply(angles, 0.5, out=half_angles[:, :-1])
@@ -290,28 +366,64 @@ class _Plan:
         krons: tuple[list, list, list] = ([], [], [])
         for count, (start, groups, forms) in enumerate(self.kron_spans):
             dim = 1 << count
-            stack = entries[:, start:start + groups * dim * dim].reshape(rows, groups, 1, dim, dim)
-            krons[_ROWS].append(stack.transpose(1, 0, 2, 4, 3) if forms[_ROWS] else None)
-            krons[_COLUMNS].append(stack[:, :, None].transpose(1, 0, 2, 3, 4, 5)
+            stack = entries[:, start:start + groups * dim * dim].reshape(rows, groups, 1, 1,
+                                                                         dim, dim)
+            krons[_ROWS].append(stack.transpose(1, 0, 2, 3, 5, 4) if forms[_ROWS] else None)
+            krons[_COLUMNS].append(stack[:, :, None].transpose(1, 0, 2, 3, 4, 5, 6)
                                    if forms[_COLUMNS] else None)
-            krons[_REAL].append(stack.real[:, :, None].copy().transpose(1, 0, 2, 3, 4, 5)
+            krons[_REAL].append(stack.real[:, :, None].copy().transpose(1, 0, 2, 3, 4, 5, 6)
                                 if forms[_REAL] else None)
         vectors = [entries[:, start:start + length] for start, length in self.prefix_spans]
         return vectors, krons
 
 
+# The buffers of a batch: its states, its scratch, and the scratch's halves.
+_STATES, _SCRATCH, _FIRST, _SECOND = range(4)
+# A control = 1 half of the states: a view of them, not a buffer of its own.
+_HALF = -1
+
+
+def _moves(count: int, in_place: bool, full: bool) -> list[tuple[int, int]]:
+    # The (src, dst) buffers of a run's ``count`` steps. A run on the whole
+    # state alternates between it and the scratch; a gathered half between
+    # the scratch's halves. A half rotated in place ends in itself: an even
+    # count alternates with the first scratch half, and an odd one of three
+    # or more first passes through both scratch halves. A single product
+    # goes to the first scratch half, and its run copies it back: written
+    # over its own operand, NumPy would read that from a temporary copy of
+    # the half, beyond the block.
+    if not in_place:
+        here, there = (_STATES, _SCRATCH) if full else (_FIRST, _SECOND)
+        return [(here, there) if k % 2 == 0 else (there, here) for k in range(count)]
+    if count == 1:
+        return [(_HALF, _FIRST)]
+    moves = [(_HALF, _FIRST), (_FIRST, _SECOND), (_SECOND, _HALF)] if count % 2 else []
+    return moves + [(_HALF, _FIRST) if k % 2 == 0 else (_FIRST, _HALF)
+                    for k in range(count - len(moves))]
+
+
 @functools.lru_cache(maxsize=PLAN_CACHE)
 def _plan(template: tuple[Slot, ...], n: int) -> _Plan:
     prefix = next((i for i, (kind, _, _) in enumerate(template) if kind == CRX), len(template))
+    # The stored order: the crx controls by first use, then the other qubits
+    # in ascending order. When every qubit is a control, any order puts the
+    # controls first, and ascending order needs no mapping at the readout.
+    controls = list(dict.fromkeys(control for _, _, control in template[prefix:]
+                                  if control is not None))
+    if len(controls) == n:
+        controls = list(range(n))
+    qubits = tuple(controls) + tuple(q for q in range(n) if q not in controls)
+    axis_of = {q: k for k, q in enumerate(qubits)}
     slots: list[list[int]] = []  # each slot's gates, in gate order
 
     def fold(gates, control: int | None) -> dict[int, int]:
         # The slot of each axis the gates act on: the target's axis of the
-        # state, or of the control = 1 half, whose axes skip the control.
+        # state, or of the control = 1 half, whose axes skip the control's.
         axes: dict[int, int] = {}
         for i in gates:
-            target = template[i][1]
-            axis = target if control is None else target - (target > control)
+            axis = axis_of[template[i][1]]
+            if control is not None:
+                axis -= axis > axis_of[control]
             if axis not in axes:
                 axes[axis] = len(slots)
                 slots.append([])
@@ -319,30 +431,23 @@ def _plan(template: tuple[Slot, ...], n: int) -> _Plan:
         return axes
 
     prefix_axes = fold(range(prefix), None)
-    controls: list[int] = []
-    runs = []
     # rx/rz have no control, so grouping the gates by control splits them
     # into maximal same-control crx runs and stretches of rx/rz.
+    runs = []
     for control, run in itertools.groupby(range(prefix, len(template)),
                                           lambda i: template[i][2]):
         gates = list(run)
-        if control is None:
-            half, n_axes = None, n
-        else:
-            if control not in controls:
-                controls.append(control)
-            half, n_axes = controls.index(control), n - 1
-        runs.append((gates[0], gates[-1] + 1, half, n_axes, fold(gates, control)))
+        runs.append((gates[0], gates[-1] + 1, control, fold(gates, control)))
     identity = len(slots)
     slots.append([])
 
     # Renumber the slots by decreasing depth (stable), so that each depth
     # level covers a leading range of them.
-    order = sorted(range(len(slots)), key=lambda s: -len(slots[s]))
-    number = {s: k for k, s in enumerate(order)}
-    levels = [np.array([slots[s][0] if slots[s] else len(template) for s in order])]
-    levels += [np.array([slots[s][d] for s in order if len(slots[s]) > d])
-               for d in range(1, len(slots[order[0]]))]
+    by_depth = sorted(range(len(slots)), key=lambda s: -len(slots[s]))
+    number = {s: k for k, s in enumerate(by_depth)}
+    levels = [np.array([slots[s][0] if slots[s] else len(template) for s in by_depth])]
+    levels += [np.array([slots[s][d] for s in by_depth if len(slots[s]) > d])
+               for d in range(1, len(slots[by_depth[0]]))]
 
     cos_part = np.zeros((len(template) + 1, 8))
     sin_part = np.zeros((len(template) + 1, 8))
@@ -353,16 +458,52 @@ def _plan(template: tuple[Slot, ...], n: int) -> _Plan:
         else:  # rx, or a crx's rx on the control = 1 half, in the frame F:
             sin_part[i, [2, 4]] = -1.0, 1.0  # m01 = -sin, m10 = sin
 
+    views: dict[tuple, int] = {}
+
+    def view(buffer: int, axis: int | None, real: bool) -> int:
+        # The index of a view of ``buffer``, or of the control = 1 half on
+        # ``axis`` for _HALF.
+        if buffer != _HALF:
+            return views.setdefault((buffer, None, real), len(views))
+        inner = 1 << (n - 1 - axis + real)
+        return views.setdefault((_STATES, (-1, 1 << axis, 2, inner), real), len(views))
+
     groups: list[list[list[int]]] = [[] for _ in range(FUSE_AXES + 1)]
     plan_runs = []
-    for first, stop, half, n_axes, axes in runs:
+    for first, stop, control, axes in runs:
+        if control is None:
+            j, lead, n_axes, in_place, real = None, 0, n, False, False
+        else:
+            # A crx run rotates its half in place when its target axes all
+            # lie after the control's axis j, where the half is 2^j blocks
+            # of contiguous amplitudes, or when j is the last axis, where
+            # the half is every other amplitude and has no float view.
+            # Otherwise the half is gathered into the scratch and back.
+            j = axis_of[control]
+            after = min(axes) >= j
+            lead = j if after else 0  # the half's axes before the targets'
+            n_axes = n - 1 - lead
+            in_place, real = after or j == n - 1, j != n - 1
+        parts = _axis_groups(sorted(axes))
+        moves = _moves(len(parts), in_place, control is None)
         steps = []
-        for group in _axis_groups(sorted(axes)):
+        for group, (src, dst) in zip(parts, moves):
             count = len(group)
-            steps.append((count, len(groups[count]),
-                           *_product_shape(group[0], count, n_axes, half is not None)))
+            shape, form = _product_shape(1 << lead, group[0] - lead, count, n_axes, real)
+            steps.append((count, len(groups[count]), shape, form,
+                          view(src, j, form == _REAL), view(dst, j, form == _REAL)))
             groups[count].append([number[axes[axis]] for axis in group])
-        plan_runs.append(_Run(first, stop, half, tuple(steps)))
+        copy_in = copy_out = None
+        if control is None:
+            if moves[-1][1] == _SCRATCH:
+                copy_out = view(_STATES, None, False), view(_SCRATCH, None, False)
+        elif not in_place:
+            half = view(_HALF, j, False)
+            copy_in = view(_FIRST, None, False), half
+            copy_out = half, view(moves[-1][1], None, False)
+        elif moves[-1][1] != _HALF:  # a single product, in the first scratch half
+            copy_out = view(_HALF, j, False), view(_FIRST, None, False)
+        plan_runs.append(_Run(first, stop, control, copy_in, copy_out, tuple(steps)))
     one = 4 * number[identity]  # its m00, exactly 1.0
     factors: list[np.ndarray] = []
 
@@ -379,26 +520,26 @@ def _plan(template: tuple[Slot, ...], n: int) -> _Plan:
             factors.append(index.reshape(FUSE_AXES, -1))
         return start, len(found)
 
-    # The prefix's qubits in groups from the least significant up; a
-    # vector's entries are the first column of a Kronecker matrix.
+    # The prefix's axes in groups from the least significant up; a vector's
+    # entries are the first column of a Kronecker matrix.
     prefix_spans = []
     for group in _axis_groups(list(range(n))):
-        slots_of = [[number[prefix_axes.get(q, identity)] for q in group]]
+        slots_of = [[number[prefix_axes.get(axis, identity)] for axis in group]]
         start, _ = products(slots_of, _KRON_BITS[len(group)][:, :, 0])
         prefix_spans.append((start, 1 << len(group)))
-    forms = {(count, form) for run in plan_runs for count, _, _, form in run.steps}
+    forms = {(count, form) for run in plan_runs for count, _, _, form, _, _ in run.steps}
     kron_spans = tuple((*products(found, _KRON_BITS[count]),
                         tuple((count, form) in forms for form in (_ROWS, _COLUMNS, _REAL)))
                        for count, found in enumerate(groups))
     factors = np.concatenate(factors, axis=1)
-    halves = tuple((-1, 1 << c, 2, 1 << (n - 1 - c)) for c in controls)
+    order = None if qubits == tuple(range(n)) else _qubit_order(qubits, len(controls))
     # Amplitudes of 16 bytes: the state and its scratch, the entries and one
     # gathered factor of them (which the real copies of crx stacks, made
     # after it is freed, never exceed), and about 8 per gate and per slot
     # for the 2x2 matrices.
     amplitudes = (2 << n) + 2 * factors.shape[1] + 8 * (len(template) + 1 + len(slots))
     return _Plan(prefix, tuple(levels), cos_part, sin_part, factors, tuple(prefix_spans),
-                 kron_spans, halves, tuple(plan_runs), 16 * amplitudes)
+                 kron_spans, tuple(views), tuple(plan_runs), order, 16 * amplitudes)
 
 
 def _kron_bits(count: int) -> np.ndarray:
@@ -429,33 +570,34 @@ def _axis_groups(axes: list[int]) -> list[list[int]]:
             for span in spans for stop in range(len(span), 0, -FUSE_AXES)]
 
 
-def _product_shape(first: int, count: int, n_axes: int,
+def _product_shape(lead: int, first: int, count: int, n_axes: int,
                    real: bool) -> tuple[tuple[int, ...], int]:
-    # How a matrix on axes first..first+count-1 of a (2,)*n_axes block is
-    # applied: the (B, ...) block's shape for np.matmul, and the product's
-    # form; ``real`` for a crx run, whose Kronecker matrices are real. Its
-    # row products stay complex (with imaginary parts 0): as real products
-    # by kron(K^T, I_2) they made an n=4 hash, where every crx product is a
-    # row product, 1.4-1.9x as slow. Each BLAS call does at most TILE_MACS
-    # complex multiply-adds, which keeps OpenBLAS 0.3.31 on the calling
-    # thread (its zgemm threads from 2^16): on a shared two-core host one
-    # threaded (16x16)@(16x2^15) product took 8 ms against 0.15 ms on one
-    # thread. A real tile of the same columns does 2 * dim^2 * cols real
-    # multiply-adds, 2^15 at 16x16, and dgemm stays on one thread up to 2^19
-    # (it threads from 2^20); real tiles 2-8x wider were no faster.
+    # How a matrix on axes first..first+count-1 of a (B, lead) + (2,)*n_axes
+    # block is applied: the block's shape for np.matmul, and the product's
+    # form; ``real`` for a crx run whose half has a float view (its
+    # Kronecker matrices are real). Its row products stay complex (with
+    # imaginary parts 0): as real products by kron(K^T, I_2) they made an
+    # n=4 hash, where every crx product is a row product, 1.4-1.9x as slow.
+    # Each BLAS call does at most TILE_MACS complex multiply-adds, which
+    # keeps OpenBLAS 0.3.31 on the calling thread (its zgemm threads from
+    # 2^16): on a shared two-core host one threaded (16x16)@(16x2^15)
+    # product took 8 ms against 0.15 ms on one thread. A real tile of the
+    # same columns does 2 * dim^2 * cols real multiply-adds, 2^15 at 16x16,
+    # and dgemm stays on one thread up to 2^19 (it threads from 2^20); real
+    # tiles 2-8x wider were no faster.
     dim = 1 << count
     outer, inner = 1 << first, 1 << (n_axes - first - count)
     tile = TILE_MACS // (dim * dim)
     if inner == 1:
-        # Rows of ``dim`` contiguous amplitudes, ``tile`` rows per product.
+        # Rows of ``dim`` amplitudes, ``tile`` rows per product.
         rows = min(tile, outer)
-        return (-1, outer // rows, rows, dim), _ROWS
+        return (-1, lead, outer // rows, rows, dim), _ROWS
     # Columns of ``dim`` amplitudes ``inner`` apart, ``tile`` columns per
     # product; a real product's columns are their re/im parts.
     cols = min(tile, inner)
     if real:
-        return (-1, outer, dim, inner // cols, 2 * cols), _REAL
-    return (-1, outer, dim, inner // cols, cols), _COLUMNS
+        return (-1, lead, outer, dim, inner // cols, 2 * cols), _REAL
+    return (-1, lead, outer, dim, inner // cols, cols), _COLUMNS
 
 
 def probabilities(state: np.ndarray) -> np.ndarray:
@@ -474,31 +616,34 @@ def most_probable_state(state: np.ndarray) -> BasisOutcome:
     return BasisOutcome(format(idx, f"0{n}b"), float(amp.real * amp.real + amp.imag * amp.imag))
 
 
-def outcome_indices(states: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
-    """Per row of a (B, 2^n) block of states, the index the readout picks:
-    the lowest whose probability is at least ``p_max * (1 - TIE_TOL)``.
+def outcome_indices(states: np.ndarray, scratch: np.ndarray | None = None,
+                    order: QubitOrder | None = None) -> np.ndarray:
+    """Per row of a (B, 2^n) block of states, the basis index the readout
+    picks: the lowest whose probability is at least ``p_max * (1 - TIE_TOL)``.
 
-    The probabilities go into float buffers carved from ``scratch`` (a
-    (B, 2^n) complex array it may overwrite, such as simulate_batch's), or
-    else into one allocation of two chunks per row. A row longer than
-    READOUT_CHUNK is read chunk by chunk, so no 2^n temporary is allocated;
-    the tie decisions are the same either way.
+    ``order`` is the states' qubit order from ``simulate_batch`` (None:
+    ascending qubits). The probabilities go into float buffers carved from
+    ``scratch`` (a (B, 2^n) complex array it may overwrite, such as
+    simulate_batch's), or else into one allocation of two chunks per row. A
+    row longer than READOUT_CHUNK is read chunk by chunk, so no 2^n
+    temporary is allocated; the tie decisions are the same either way.
     """
     rows, length = states.shape
     chunk = min(length, READOUT_CHUNK)
     buffer = np.empty((rows, 2 * chunk)) if scratch is None else scratch.view(np.float64)
     probs, imag = buffer[:, :chunk], buffer[:, chunk:2 * chunk]
-    if length == chunk:
-        bases = None
-        _fill(states, probs, imag)
-        thresholds = probs.max(axis=1, keepdims=True) * (1.0 - TIE_TOL)
-    else:
-        bases, thresholds = _first_tied_chunks(states, probs, imag)
+    if length > chunk:
+        return _chunked_indices(states, probs, imag, order)
+    _fill(states, probs, imag)
+    thresholds = probs.max(axis=1, keepdims=True) * (1.0 - TIE_TOL)
     # Mark the ties in place (1.0 or 0.0) rather than in a new mask: a mask
     # allocated per hash slowed n=20 hashing by about 4%.
     np.greater_equal(probs, thresholds, out=probs)
-    indices = np.argmax(probs, axis=1)
-    return indices if bases is None else bases + indices
+    if order is None:
+        return np.argmax(probs, axis=1)
+    # A row without a tie (a NaN maximum ties nowhere) reads length &
+    # (length - 1) = 0, as in ascending order.
+    return _lowest_tied(probs, 0, order, length) & (length - 1)
 
 
 def _fill(part: np.ndarray, probs: np.ndarray, imag: np.ndarray) -> None:
@@ -509,28 +654,52 @@ def _fill(part: np.ndarray, probs: np.ndarray, imag: np.ndarray) -> None:
     np.add(probs, imag, out=probs)
 
 
-def _first_tied_chunks(states: np.ndarray, probs: np.ndarray,
-                       imag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Per row, the offset of the first chunk that holds a tie and, as a
-    # (B, 1) column, the tie threshold; probs is left holding those chunks.
-    # Each chunk's probabilities are the same elementwise operations as over
-    # the whole row, and the maximum of the chunk maxima is the row's
-    # maximum, so every comparison with the threshold comes out as in one
-    # pass. Three temporaries per chunk made an n=20 readout about twice as
-    # slow.
+def _lowest_tied(marks: np.ndarray, start: int, order: QubitOrder, none: int) -> np.ndarray:
+    # Per row of ``marks`` (1.0 at a tie, else 0.0) over the stored indices
+    # from ``start`` on, the lowest basis index among its ties, or ``none``.
+    # Within a block of fixed control bits the basis index grows with the
+    # stored index, so the first tie of every block is mapped and the lowest
+    # taken.
+    block = min(order.block, marks.shape[1])
+    stored = np.argmax(marks.reshape(len(marks), -1, block), axis=2)
+    stored += np.arange(0, marks.shape[1], block)
+    # Fancy indexing took two thirds of the time of np.take_along_axis.
+    tied = marks[np.arange(len(marks))[:, None], stored] > 0
+    return np.where(tied, order.basis(stored + start), none).min(axis=1)
+
+
+def _chunked_indices(states: np.ndarray, probs: np.ndarray, imag: np.ndarray,
+                     order: QubitOrder | None) -> np.ndarray:
+    # ``outcome_indices`` chunk by chunk. Each chunk's probabilities are the
+    # same elementwise operations as over the whole row, and the maximum of
+    # the chunk maxima is the row's maximum, so every comparison with the
+    # threshold comes out as in one pass. Three temporaries per chunk made
+    # an n=20 readout about twice as slow.
+    rows, length = states.shape
     chunk = probs.shape[1]
-    peaks = np.empty((states.shape[1] // chunk, len(states)))
-    for k, lo in enumerate(range(0, states.shape[1], chunk)):
+    peaks = np.empty((length // chunk, rows))
+    for k, lo in enumerate(range(0, length, chunk)):
         _fill(states[:, lo:lo + chunk], probs, imag)
         probs.max(axis=1, out=peaks[k])
     thresholds = peaks.max(axis=0) * (1.0 - TIE_TOL)
-    # A NaN maximum ties nowhere; the readout then falls to index 0, as in
-    # one pass.
-    firsts = np.argmax(peaks >= thresholds, axis=0)
-    for row in np.flatnonzero(firsts != len(peaks) - 1):  # probs holds the last chunk
-        lo = int(firsts[row]) * chunk
-        _fill(states[row, lo:lo + chunk], probs[row], imag[row])
-    return firsts * chunk, thresholds[:, None]
+    # In ascending order a row's first tied chunk holds its outcome;
+    # otherwise any tied chunk may hold the lowest basis index. Each is read
+    # again, the last one first, while probs still holds it. A NaN maximum
+    # ties nowhere, and the row reads length & (length - 1) = 0, as in one
+    # pass.
+    indices = np.full(rows, length)
+    for row in range(rows):
+        marks = probs[row:row + 1]
+        found = np.flatnonzero(peaks[:, row] >= thresholds[row]).tolist()
+        for k in reversed(found[:1] if order is None else found):
+            lo = k * chunk
+            if k != len(peaks) - 1:
+                _fill(states[row:row + 1, lo:lo + chunk], marks, imag[row:row + 1])
+            np.greater_equal(marks, thresholds[row], out=marks)
+            index = (lo + int(np.argmax(marks)) if order is None
+                     else int(_lowest_tied(marks, lo, order, length)[0]))
+            indices[row] = min(indices[row], index)
+    return indices & (length - 1)
 
 
 def sample_counts(state: np.ndarray, shots: int, seed: int | None = None) -> dict[str, int]:

@@ -108,6 +108,23 @@ def test_qpow_hash_consensus_pin(n_qubits):
     assert sha3_256(h2s).hex() == CONSENSUS_PIN[n_qubits]
 
 
+# The same hash over i < 4 past n = 16, where the readout goes chunk by
+# chunk and every crx run is a half on the leading axes; recorded from the
+# simulator that copied each crx half out to a scratch buffer and back.
+LARGE_CONSENSUS_PIN = {
+    17: "455750bcea275f60bb27a3e24ec70c6fe71daf430d6b0bbd831bd360790540a8",
+    18: "2694b11ff79986f5dbb16e60951f0a11dd66377606b1ef8837551a887ff7763e",
+    20: "dab548c0599ec9639ee7a5b95795f2f17b6b8bb8f2520ea91c7f3b24bebc399a",
+}
+
+
+@pytest.mark.parametrize("n_qubits", sorted(LARGE_CONSENSUS_PIN))
+def test_qpow_hash_consensus_pin_past_16(n_qubits):
+    h2s = b"".join(qpow_hash(f"consensus pin {n_qubits} {i}".encode(), n_qubits)
+                   for i in range(4))
+    assert sha3_256(h2s).hex() == LARGE_CONSENSUS_PIN[n_qubits]
+
+
 def test_qpow_hash_avalanche():
     rng = np.random.default_rng(0)
     for _ in range(10):

@@ -263,6 +263,23 @@ def test_hash_refuses_qubits_over_the_memory_limit_before_simulating(capsys, mon
     assert "memory" in err and out == ""
 
 
+@pytest.mark.parametrize("shots", ["0", "-5"])
+def test_hash_refuses_a_histogram_of_no_shots_before_simulating(tmp_path, capsys, monkeypatch,
+                                                                shots):
+    monkeypatch.setattr(analysis_mod, "max_feasible_qubits", lambda: 2)
+    monkeypatch.setattr(chain_mod, "simulate_batch", _no_simulation)
+    out_path = tmp_path / "hist.csv"
+    code, out, err = run(capsys, "hash", "abc", "--qubits", "3", "--shots", shots,
+                         "--out", str(out_path))
+    assert code == 2
+    assert "--shots must be >= 1" in err and out == ""
+    assert not out_path.exists()
+
+    monkeypatch.undo()
+    # Without --out no histogram is drawn, so the shot count is not used.
+    assert run(capsys, "hash", "abc", "--qubits", "3", "--shots", shots)[0] == 0
+
+
 @pytest.mark.parametrize("difficulty", ["-3", "65", "99"])
 def test_verify_refuses_an_out_of_range_difficulty_before_simulating(n3_chain, tmp_path, capsys,
                                                                     monkeypatch, difficulty):

@@ -20,7 +20,7 @@ from qpow.chain import prove, prove_many, qpow_hash
 
 TESTS = Path(__file__).resolve().parent
 TEXTS = {n: [f"cross kernel {n} {i}" for i in range(count)]
-         for n, count in ((4, 100), (8, 100), (12, 60), (14, 20))}
+         for n, count in ((4, 100), (8, 100), (12, 60), (14, 20), (17, 8))}
 FORCED_CORES = ("Prescott", "Katmai")
 
 CHILD = "import json; from test_cross_kernel import TEXTS, hashes; print(json.dumps(hashes(TEXTS)))"

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from qpow.circuit import CRX, RX, RZ, Circuit, Gate, ansatz_template, build_ansatz
 from qpow.hashing import encode_angles, sha3_256
 from qpow.simulator import (_COLUMNS, _REAL, BATCH_BYTES, PLAN_CACHE, READOUT_CHUNK, TIE_TOL,
-                            _plan, batch_rows,
+                            _plan, _views, batch_rows,
                             histogram_csv, most_probable_state, num_qubits, outcome_indices,
                             probabilities, sample_counts, simulate, simulate_batch, to_basis)
 
@@ -276,8 +277,8 @@ def crx_step_matrices(template, n, angles):
     _, krons = every_form.matrices(angles)
     _, used = plan.matrices(angles)
     return [(krons[_COLUMNS][count][index], used[form][count][index])
-            for run in plan.runs if run.half is not None
-            for count, index, _, form in run.steps]
+            for run in plan.runs if run.control is not None
+            for count, index, _, form, _, _ in run.steps]
 
 
 def test_crx_kronecker_matrices_are_real_in_the_frame():
@@ -292,7 +293,7 @@ def test_crx_kronecker_matrices_are_real_in_the_frame():
             if used.dtype == np.float64:
                 assert np.array_equal(used, stack.real)
     # From n = 8 on the ansatz's crx runs have real columnwise products.
-    forms = {form for run in _plan(ansatz_template(12), 12).runs for *_, form in run.steps}
+    forms = {form for run in _plan(ansatz_template(12), 12).runs for _, _, _, form, _, _ in run.steps}
     assert _REAL in forms
 
 
@@ -300,8 +301,8 @@ def test_frame_rows_convert_back_to_simulate():
     rng = np.random.default_rng(6)
     for template, n in frame_cases():
         angles = rng.uniform(-7, 7, (3, len(template)))
-        states, _ = simulate_batch(template, n, angles)
-        for row, state in zip(angles, to_basis(states)):
+        states, scratch, order = simulate_batch(template, n, angles)
+        for row, state in zip(angles, to_basis(states, order, scratch)):
             np.testing.assert_allclose(state, simulate(Circuit._of(n, template, tuple(row))),
                                        rtol=0, atol=1e-12)
 
@@ -310,6 +311,180 @@ def test_to_basis_multiplies_by_powers_of_minus_i():
     for n in range(1, 8):
         expected = np.array([(-1j) ** bin(i).count("1") for i in range(1 << n)])
         assert np.array_equal(to_basis(np.ones((2, 1 << n), dtype=complex)), [expected] * 2)
+
+
+def plan_cases():
+    """(template, n) of every ansatz template for n = 2..22 and of the
+    hand-built planned and fused cases."""
+    cases = [(ansatz_template(n), n) for n in range(2, 23)]
+    cases += [(planned_case(n, name).template, n) for name in PLANNED_CASES for n in (4, 5, 6)]
+    cases += [(fused_case(n, name).template, n) for name in FUSED_CASES for n in (10, 11, 14, 15)]
+    return cases
+
+
+def test_every_step_and_copy_reshapes_its_views_without_copying():
+    # A reshape that copied would leave a product's result in a temporary.
+    # np.empty touches no page, so the blocks cost nothing even at n = 22.
+    for template, n in plan_cases():
+        plan = _plan(template, n)
+        states, scratch = np.empty((2, 3 if n < 15 else 1, 1 << n), dtype=complex)
+        views = _views(plan, states, scratch)
+        for run in plan.runs:
+            for _, _, shape, _, src, dst in run.steps:
+                np.reshape(views[src], shape, copy=False)
+                np.reshape(views[dst], shape, copy=False)
+            if run.copy_in is not None:
+                dst, src = (views[i] for i in run.copy_in)
+                np.reshape(dst, src.shape, copy=False)
+            if run.copy_out is not None:
+                dst, src = (views[i] for i in run.copy_out)
+                np.reshape(src, dst.shape, copy=False)
+
+
+def test_no_product_writes_over_its_own_operand():
+    # NumPy reads an operand that overlaps its output from a temporary copy,
+    # which a half of 2^(n-1) amplitudes would put beyond the block.
+    for template, n in plan_cases():
+        plan = _plan(template, n)
+        states, scratch = np.empty((2, 3 if n < 15 else 1, 1 << n), dtype=complex)
+        views = _views(plan, states, scratch)
+        for run in plan.runs:
+            for _, _, _, _, src, dst in run.steps:
+                assert not np.may_share_memory(views[src], views[dst]), (n, run)
+
+
+def test_simulation_keeps_within_its_block():
+    # At n = 16 the ansatz's last crx run is one product on a half of 2^15
+    # amplitudes; a temporary copy of that half would add 512 KiB.
+    n = 16
+    template = ansatz_template(n)
+    angles = np.random.default_rng(3).uniform(-7, 7, (1, len(template)))
+    simulate_batch(template, n, angles)  # plans the template
+    tracemalloc.start()
+    try:
+        simulate_batch(template, n, angles)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - (32 << n) < (8 << n) // 2
+
+
+def gathered_runs(n):
+    crx = [run for run in _plan(ansatz_template(n), n).runs if run.control is not None]
+    return sum(run.copy_in is not None for run in crx), len(crx)
+
+
+def test_crx_runs_gather_unless_their_targets_follow_the_control():
+    # Every qubit is a crx control up to n = 7, so the qubits stay in
+    # ascending order; from n = 8 on the controls lead.
+    assert all(_plan(ansatz_template(n), n).order is None for n in range(2, 8))
+    assert _plan(ansatz_template(12), 12).order.qubits == (11, 10, 9, 8, *range(8))
+    assert _plan(ansatz_template(20), 20).order.qubits == (19, 18, *range(18))
+    assert gathered_runs(4) == (6, 12)
+    assert gathered_runs(12) == (2, 4)
+    assert [n for n in range(17, 31) if gathered_runs(n)[0]] == []
+    # Controls on axes 0 and 1 of 6: the run of control 3 with a target on
+    # axis 0 gathers, also when that is its only target.
+    plan = _plan(controls_inside_case().template, 6)
+    assert [(run.control, run.copy_in is not None) for run in plan.runs
+            if run.control is not None] == [(1, False), (3, True), (1, False), (3, True)]
+
+
+def controls_inside_case() -> Circuit:
+    """Crx runs whose controls, 1 and 3, are neither the first nor the last
+    qubits, one of them with its only target before its control's axis."""
+    rng = np.random.default_rng(11)
+    spread = [Gate(kind, q, float(rng.uniform(-7, 7))) for q in range(6) for kind in (RX, RZ)]
+    runs = [(1, (0, 2, 3)), (3, (0, 1, 4, 5)), (1, (4, 5)), (3, (1,))]
+    return Circuit(6, spread + [Gate(CRX, t, float(rng.uniform(-7, 7)), control=c)
+                                for c, targets in runs for t in targets])
+
+
+def test_controls_inside_case_matches_dense_oracle():
+    circuit = controls_inside_case()
+    assert _plan(circuit.template, 6).order.qubits == (1, 3, 0, 2, 4, 5)
+    np.testing.assert_allclose(simulate(circuit, check_norm=True), simulate_dense(circuit),
+                               rtol=0, atol=1e-12)
+
+
+def one_array_index(state):
+    # The readout rule over a whole basis-order row; a row without a tie (a
+    # NaN maximum) reads 0.
+    probs = probabilities(state)
+    return int(np.concatenate([np.flatnonzero(probs >= probs.max() * (1.0 - TIE_TOL)), [0]])[0])
+
+
+def stored_index(order, index, n):
+    return sum((index >> (n - 1 - q) & 1) << (n - 1 - k) for k, q in enumerate(order.qubits))
+
+
+def tied_rows(order, n, rng):
+    """Rows of basis-order states: one tie; two in one block of fixed control
+    bits; two in different blocks, the lower basis index stored later; three
+    with rotated phases, across blocks; a near tie just past the rule's gap
+    before the maximum; a NaN row."""
+    size = 1 << n
+
+    def block(index):
+        return 0 if order is None else stored_index(order, index, n) // order.block
+
+    def stored(index):
+        return index if order is None else stored_index(order, index, n)
+
+    def pair(want):
+        while True:
+            a, b = sorted(int(i) for i in rng.choice(size, 2, replace=False))
+            if want(a, b):
+                return a, b
+
+    same = pair(lambda a, b: block(a) == block(b))
+    crossed = pair(lambda a, b: block(a) != block(b) and stored(a) > stored(b)) if order else same
+    rows = rng.uniform(0.5, 1.0, (6, size)) * np.exp(2j * math.pi * rng.random((6, size))) / 1e3
+    peak = 0.1 * np.exp(0.3j)
+    rows[0, rng.integers(size)] = peak
+    rows[1, list(same)] = peak
+    rows[2, list(crossed)] = peak, peak * 1j
+    for k, index in enumerate(rng.choice(size, 3, replace=False)):
+        rows[3, index] = peak * 1j ** k
+    rows[4, crossed[0]] = peak * math.sqrt(1 - 3 * TIE_TOL)
+    rows[4, crossed[1]] = peak
+    rows[5, 7] = math.nan
+    return rows
+
+
+def to_stored(states, order):
+    # States in the order simulate_batch stores them (the inverse of
+    # to_basis's permutation; the frame is left out, since the readout reads
+    # only probabilities).
+    if order is None:
+        return states.copy()
+    n = states.shape[1].bit_length() - 1
+    axes = (0,) + tuple(1 + q for q in order.qubits)
+    return np.ascontiguousarray(states.reshape((-1,) + (2,) * n).transpose(axes)).reshape(
+        states.shape)
+
+
+@pytest.mark.parametrize("template, n", [
+    pytest.param(ansatz_template(4), 4, id="ansatz-4"),
+    pytest.param(ansatz_template(12), 12, id="ansatz-12"),
+    pytest.param(ansatz_template(17), 17, id="ansatz-17-chunked"),
+    pytest.param(controls_inside_case().template, 6, id="controls-inside"),
+])
+def test_readout_in_stored_order_keeps_the_lowest_basis_index(template, n):
+    order = _plan(template, n).order
+    rows = tied_rows(order, n, np.random.default_rng(n))
+    states = to_stored(rows, order)
+    converted = to_basis(states.copy(), order, np.empty_like(states))
+    expected = [one_array_index(row) for row in converted]
+    assert expected == [one_array_index(row) for row in rows]
+    assert expected[5] == 0
+    if order is not None:  # the rule, not the stored order, picks row 2's outcome
+        assert stored_index(order, expected[2], n) > min(
+            stored_index(order, int(i), n) for i in np.flatnonzero(np.abs(rows[2]) > 0.05))
+    assert outcome_indices(states, order=order).tolist() == expected
+    assert outcome_indices(states, np.empty_like(states), order).tolist() == expected
+    for row in range(len(states)):
+        assert outcome_indices(states[row:row + 1], order=order).tolist() == [expected[row]]
 
 
 def one_array_readout(state):
@@ -367,17 +542,19 @@ def test_batched_outcomes_equal_scalar_outcomes(n, rows):
     template = ansatz_template(n)
     near_ties = 0
     for lo in range(0, len(digests), rows):
-        states, scratch = simulate_batch(template, n, angles[lo:lo + rows])
-        # The batch's states are in the frame F; simulate converts back.
-        for row, state in enumerate(to_basis(states.copy())):
+        states, scratch, order = simulate_batch(template, n, angles[lo:lo + rows])
+        # The batch's states are in the simulator's qubit order and frame F;
+        # simulate converts back.
+        converted = to_basis(states.copy(), order, np.empty_like(states))
+        for row, state in enumerate(converted):
             circuit = build_ansatz(angles[lo + row], n)
             scalar = simulate(circuit)
             np.testing.assert_allclose(state, scalar, rtol=0, atol=1e-12)
             near_ties += top_two_gap(scalar) < 1e-6
-        expected = [int(most_probable_state(state).bits, 2) for state in states]
+        expected = [int(most_probable_state(state).bits, 2) for state in converted]
         # outcome_indices overwrites the scratch with the probabilities.
-        assert outcome_indices(states, scratch).tolist() == expected
-        assert outcome_indices(states).tolist() == expected
+        assert outcome_indices(states, scratch, order).tolist() == expected
+        assert outcome_indices(states, order=order).tolist() == expected
     assert len(digests) % rows
     if n == 12:
         assert near_ties > 100  # the rule decides these, not rounding
